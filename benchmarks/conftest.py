@@ -1,17 +1,11 @@
-"""Benchmark fixtures: tuned spark + a collector that persists measured
-Table 2 / plan-space rows for EXPERIMENTS.md."""
+"""Benchmark fixtures: a collector that persists measured Table 2 /
+plan-space rows for EXPERIMENTS.md."""
 import json
 import os
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture(scope="session")
-def spark_small(spark):
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-    return spark
 
 
 class Collector:

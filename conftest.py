@@ -83,3 +83,11 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def spark_small(spark):
+    """Session spark with few shuffle partitions — all test data is tiny and
+    64 partitions would dominate runtime with scheduling overhead."""
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
+    return spark

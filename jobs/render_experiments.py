@@ -1,8 +1,13 @@
 """Render benchmarks/results/*.json into EXPERIMENTS.md.
 
-Replaces the ``<!-- TABLE2_RESULTS -->``, ``<!-- TABLE2_SHAPE -->`` and
-``<!-- PLAN_SPACE_RESULTS -->`` markers with the measured tables and a
-paper-vs-ours shape comparison (who wins each cell, and by what factor).
+Regenerates the text between each ``<!-- BEGIN name -->`` /
+``<!-- END name -->`` pair — ``TABLE2_RESULTS``, ``TABLE2_SHAPE`` and
+``PLAN_SPACE_RESULTS`` — with the measured tables and a paper-vs-ours
+shape comparison (who wins each cell, and by what factor). Re-running it
+on unchanged results leaves the file unchanged. Exits non-zero, naming
+the section, if a marker pair is missing.
+
+Usage:  python jobs/render_experiments.py
 """
 import json
 import os
@@ -91,20 +96,38 @@ def plan_space_md(rows):
     return "\n".join(lines)
 
 
-def main():
-    path = os.path.join(ROOT, "EXPERIMENTS.md")
+SECTIONS = ("TABLE2_RESULTS", "TABLE2_SHAPE", "PLAN_SPACE_RESULTS")
+
+
+def _section(name: str):
+    return re.compile(f"<!-- BEGIN {name} -->.*?<!-- END {name} -->", re.S)
+
+
+def render_file(path: str) -> None:
+    """Regenerate every section of ``path``; ``ValueError`` names the
+    sections whose marker pair is missing."""
     with open(path) as f:
         text = f.read()
+    missing = [name for name in SECTIONS if not _section(name).search(text)]
+    if missing:
+        raise ValueError(f"missing BEGIN/END marker pair for {', '.join(missing)}")
     t2 = load("table2")
-    text = text.replace("<!-- TABLE2_RESULTS -->", table2_md(t2))
-    text = text.replace("<!-- TABLE2_SHAPE -->", shape_md(t2))
-    try:
-        ps = load("plan_space")
-        text = text.replace("<!-- PLAN_SPACE_RESULTS -->", plan_space_md(ps))
-    except FileNotFoundError:
-        pass
+    bodies = {"TABLE2_RESULTS": table2_md(t2), "TABLE2_SHAPE": shape_md(t2)}
+    if os.path.exists(os.path.join(RESULTS, "plan_space.json")):
+        bodies["PLAN_SPACE_RESULTS"] = plan_space_md(load("plan_space"))
+    for name, body in bodies.items():
+        block = f"<!-- BEGIN {name} -->\n{body}\n<!-- END {name} -->"
+        text = _section(name).sub(lambda _: block, text, count=1)
     with open(path, "w") as f:
         f.write(text)
+
+
+def main():
+    path = os.path.join(ROOT, "EXPERIMENTS.md")
+    try:
+        render_file(path)
+    except ValueError as e:
+        sys.exit(f"EXPERIMENTS.md: {e}")
     print("EXPERIMENTS.md updated", file=sys.stderr)
 
 

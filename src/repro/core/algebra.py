@@ -13,7 +13,9 @@ module is the ground truth they are validated against.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
@@ -168,17 +170,33 @@ def explain_sga(node: SGANode, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluation (reference semantics)
+# Batch evaluation (reference semantics), and the PATTERN join tree and
+# PATH product graph that the incremental engines reuse
 # ---------------------------------------------------------------------------
-def _renamed(df: DataFrame, i: int) -> DataFrame:
-    return df.select(
-        F.col("src").alias(f"src{i}"),
-        F.col("trg").alias(f"trg{i}"),
-        F.col("label").alias(f"label{i}"),
-        F.col("ts").alias(f"ts{i}"),
-        F.col("exp").alias(f"exp{i}"),
-        F.col("path").alias(f"path{i}"),
-    )
+def join_phi(dfs: Sequence[DataFrame], phi: Sequence[Tuple[Pos, Pos]]) -> DataFrame:
+    """Left-deep n-way join on the equality terms ``phi`` — the PATTERN join
+    tree shared by the batch operator and both engines' incremental joins.
+
+    Every column ``c`` of input ``i`` is renamed ``c{i}``; each term is
+    attached as soon as both of its inputs are joined (a term within input
+    0 filters it). Callers project the output they need.
+    """
+    acc = None
+    for i, df in enumerate(dfs):
+        df = df.select(*[F.col(c).alias(f"{c}{i}") for c in df.columns])
+        conds = [
+            F.col(f"{pa}{a}") == F.col(f"{pb}{b}")
+            for (a, pa), (b, pb) in phi
+            if max(a, b) == i
+        ]
+        cond = reduce(operator.and_, conds) if conds else None
+        if acc is None:
+            acc = df if cond is None else df.filter(cond)
+        elif cond is None:
+            acc = acc.crossJoin(df)
+        else:
+            acc = acc.join(df, on=cond, how="inner")
+    return acc
 
 
 def join_pattern(
@@ -192,43 +210,12 @@ def join_pattern(
     """n-way PATTERN join over sgt DataFrames — shared by the batch operator
     and the incremental symmetric join (which calls it on delta/state mixes).
 
-    Builds a left-deep join tree, attaching each equality term as soon as
-    both of its inputs are joined; the validity-interval intersection
-    (Def. 19) is enforced at the end. The payload of a result is the
-    derived edge itself, as in the paper's Fig. 3a.
+    The validity-interval intersection (Def. 19) is enforced on top of
+    ``join_phi``. The payload of a result is the derived edge itself, as
+    in the paper's Fig. 3a.
     """
     n = len(dfs)
-    renamed = [_renamed(df, i) for i, df in enumerate(dfs)]
-    applied = [False] * len(phi)
-
-    def terms_for(joined: set, must_touch: int):
-        conds = []
-        for k, ((i, pi), (j, pj)) in enumerate(phi):
-            if applied[k]:
-                continue
-            if i in joined and j in joined and (i == must_touch or j == must_touch):
-                conds.append(F.col(f"{pi}{i}") == F.col(f"{pj}{j}"))
-                applied[k] = True
-        return conds
-
-    acc = renamed[0]
-    joined = {0}
-    for i in range(1, n):
-        joined.add(i)
-        conds = terms_for(joined, i)
-        if conds:
-            cond = conds[0]
-            for c in conds[1:]:
-                cond = cond & c
-            acc = acc.join(renamed[i], on=cond, how="inner")
-        else:
-            acc = acc.crossJoin(renamed[i])
-    # Any term whose endpoints were both present before either table was
-    # the "new" one (cannot happen with the loop above, but keep it safe).
-    for k, ((i, pi), (j, pj)) in enumerate(phi):
-        if not applied[k]:
-            acc = acc.filter(F.col(f"{pi}{i}") == F.col(f"{pj}{j}"))
-
+    acc = join_phi(dfs, phi)
     ts_cols = [F.col(f"ts{i}") for i in range(n)]
     exp_cols = [F.col(f"exp{i}") for i in range(n)]
     src_c = F.col(f"{src_sel[1]}{src_sel[0]}")
@@ -253,28 +240,31 @@ def join_pattern(
     return coalesce_sgts(out) if do_coalesce else out
 
 
-def path_fixpoint(
-    edges: DataFrame,
-    dfa: DFA,
-    label: str,
-    max_iters: int = 64,
-) -> DataFrame:
-    """Batch PATH: interval-aware semi-naive fixpoint over the product graph.
+def transitions(spark: SparkSession, dfa: DFA) -> DataFrame:
+    """The DFA's transition table ``(s, l, t)``; a never-matching row
+    stands in for an empty table, which has no schema to infer."""
+    return spark.createDataFrame(dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"])
 
-    A derived fact is ``(x, v, state, [ts, exp))``: a path from ``x`` to
-    ``v`` whose label drives the DFA from the start state to ``state``,
-    valid throughout ``[ts, exp)`` (the intersection of its edges'
-    intervals, Def. 20). Dominated intervals are pruned per (x, v, state)
-    so the loop terminates on cyclic graphs; dominated facts cannot
-    contribute any snapshot a dominating fact does not already cover.
+
+class ProductGraph:
+    """The (vertex × DFA-state) product graph a PATH walks over sgts —
+    shared by the batch fixpoint and S-PATH.
+
+    A *step* is one (edge, DFA transition) pair; a *node* is a path
+    segment ``(x, v, state, ts, exp, path)``: a walk from ``x`` to ``v``
+    driving the DFA from its start state to ``state``, valid throughout
+    ``[ts, exp)`` (the intersection of its edges' intervals, Def. 20).
     """
-    spark = SparkSession.getActiveSession()
-    trans = spark.createDataFrame(dfa.table(), ["s", "l", "t"])
-    keys = ["x", "v", "state"]
 
-    steps = (
-        edges.join(F.broadcast(trans), F.col("label") == F.col("l"))
-        .select(
+    def __init__(self, spark: SparkSession, dfa: DFA):
+        self.start = dfa.start
+        self.trans = transitions(spark, dfa)
+
+    def steps(self, sgts: DataFrame) -> DataFrame:
+        """Join sgts with DFA transitions: one row per (edge, transition)."""
+        return sgts.join(
+            F.broadcast(self.trans), F.col("label") == F.col("l")
+        ).select(
             F.col("s").alias("e_s"),
             F.col("t").alias("e_t"),
             F.col("src").alias("e_src"),
@@ -283,12 +273,10 @@ def path_fixpoint(
             F.col("exp").alias("e_exp"),
             F.array(F.struct("src", "trg", "label")).alias("e_path"),
         )
-        .localCheckpoint(eager=True)
-    )
 
-    base = (
-        steps.filter(F.col("e_s") == dfa.start)
-        .select(
+    def seeds(self, steps: DataFrame) -> DataFrame:
+        """One-edge segments: steps leaving the DFA's start state."""
+        return steps.filter(F.col("e_s") == self.start).select(
             F.col("e_src").alias("x"),
             F.col("e_trg").alias("v"),
             F.col("e_t").alias("state"),
@@ -296,37 +284,50 @@ def path_fixpoint(
             F.col("e_exp").alias("exp"),
             F.col("e_path").alias("path"),
         )
-    )
-    base = pareto_intervals(base, keys).localCheckpoint(eager=True)
-    acc, delta = base, base
 
-    for it in range(max_iters):
-        if delta.isEmpty():
-            break
-        new = (
-            delta.join(
+    @staticmethod
+    def extend(nodes: DataFrame, steps: DataFrame) -> DataFrame:
+        """Extend segments by one compatible step, intersecting intervals
+        (Def. 20) and dropping segments whose interval is empty."""
+        return (
+            nodes.join(
                 steps,
                 (F.col("v") == F.col("e_src")) & (F.col("state") == F.col("e_s")),
             )
             .select(
                 "x",
-                F.col("e_trg").alias("v2"),
-                F.col("e_t").alias("state2"),
-                F.greatest("ts", "e_ts").alias("ts2"),
-                F.least("exp", "e_exp").alias("exp2"),
-                F.concat("path", "e_path").alias("path2"),
+                F.col("e_trg").alias("v"),
+                F.col("e_t").alias("state"),
+                F.greatest("ts", "e_ts").alias("ts"),
+                F.least("exp", "e_exp").alias("exp"),
+                F.concat("path", "e_path").alias("path"),
             )
-            .filter(F.col("ts2") < F.col("exp2"))
-            .select(
-                "x",
-                F.col("v2").alias("v"),
-                F.col("state2").alias("state"),
-                F.col("ts2").alias("ts"),
-                F.col("exp2").alias("exp"),
-                F.col("path2").alias("path"),
-            )
+            .filter(F.col("ts") < F.col("exp"))
         )
-        new = pareto_intervals(new, keys)
+
+
+def path_fixpoint(
+    edges: DataFrame,
+    dfa: DFA,
+    label: str,
+    max_iters: int = 64,
+) -> DataFrame:
+    """Batch PATH: interval-aware semi-naive fixpoint over the product graph.
+
+    Dominated intervals are pruned per (x, v, state) so the loop
+    terminates on cyclic graphs; dominated facts cannot contribute any
+    snapshot a dominating fact does not already cover.
+    """
+    graph = ProductGraph(SparkSession.getActiveSession(), dfa)
+    keys = ["x", "v", "state"]
+    steps = graph.steps(edges).localCheckpoint(eager=True)
+    base = pareto_intervals(graph.seeds(steps), keys).localCheckpoint(eager=True)
+    acc, delta = base, base
+
+    for it in range(max_iters):
+        if delta.isEmpty():
+            break
+        new = pareto_intervals(graph.extend(delta, steps), keys)
         dom = acc.select(
             F.col("x").alias("d_x"),
             F.col("v").alias("d_v"),

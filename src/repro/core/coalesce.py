@@ -76,7 +76,3 @@ def pareto_intervals(df: DataFrame, keys: Sequence[str]) -> DataFrame:
         .drop("_prev_max_exp")
     )
 
-
-def interval_overlap_cond(ts_cols: Sequence, exp_cols: Sequence):
-    """Boolean column: the intersection of all ``[ts_i, exp_i)`` is non-empty."""
-    return F.greatest(*ts_cols) < F.least(*exp_cols)

@@ -137,7 +137,3 @@ def snapshot_pairs(sgts: DataFrame, t: int) -> DataFrame:
         .distinct()
     )
 
-
-def to_pandas_window(sgts: DataFrame) -> pd.DataFrame:
-    """Collect the distinguished + temporal attributes for the DuckDB oracle."""
-    return sgts.select("src", "trg", "label", "ts", "exp").toPandas()

@@ -8,7 +8,8 @@ over Spark DataFrames:
 * ``compile_plan`` maps each logical SGA node to its physical operator —
   the *direct*-approach operators (mode ``"sga"``: symmetric hash join,
   S-PATH) or the *negative-tuple* baseline (mode ``"dd"``: weighted
-  deltas + DRed), §6 / §7.2.2;
+  deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION and
+  differ only where expiry handling does;
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), timing each
   window movement end-to-end — arriving sgts, expirations, and result
@@ -45,7 +46,7 @@ MODES = ("sga", "dd")
 
 def compile_plan(
     spark: SparkSession, node: SGANode, mode: str
-) -> Tuple[PhysOp, List[PhysOp]]:
+) -> Tuple[PhysOp, List[SourceOp]]:
     """Compile an SGA expression into a physical dataflow.
 
     Returns the root operator and the list of source operators. Shared
@@ -55,91 +56,38 @@ def compile_plan(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    sources: List[PhysOp] = []
+    sources: List[SourceOp] = []
     memo: Dict[int, PhysOp] = {}
+    sga = mode == "sga"
 
     def build(n: SGANode) -> PhysOp:
         if id(n) in memo:
             return memo[id(n)]
         if isinstance(n, Wscan):
-            if mode == "sga":
-                op: PhysOp = SourceOp(spark, n.source, n.size, n.slide)
-                sources.append(op)
-            else:
-                src = dd.DDSourceOp(spark, n.source, n.size, n.slide)
-                sources.append(src)
-                op = dd.DDDistinctOp(spark, src)
+            source = SourceOp if sga else dd.DDSourceOp
+            op: PhysOp = source(spark, n.source, n.size, n.slide)
+            sources.append(op)
         elif isinstance(n, Filter):
-            child = build(n.child)
-            op = (
-                FilterOp(spark, child, n.predicate)
-                if mode == "sga"
-                else dd.DDFilterOp(spark, child, n.predicate)
-            )
+            op = FilterOp(spark, build(n.child), n.predicate)
         elif isinstance(n, Union):
-            children = [build(c) for c in n.children]
-            if mode == "sga":
-                op = UnionOp(spark, children, n.label)
-            else:
-                op = dd.DDDistinctOp(
-                    spark, dd.DDUnionOp(spark, children, n.label)
-                )
+            op = UnionOp(spark, [build(c) for c in n.children], n.label)
         elif isinstance(n, Pattern):
+            join = MultiJoinOp if sga else dd.DDJoinOp
             children = [build(c) for c in n.children]
-            if mode == "sga":
-                op = MultiJoinOp(
-                    spark, children, n.phi, n.src_sel, n.trg_sel, n.label
-                )
-            else:
-                op = dd.DDDistinctOp(
-                    spark,
-                    dd.DDJoinOp(
-                        spark, children, n.phi, n.src_sel, n.trg_sel, n.label
-                    ),
-                )
+            op = join(spark, children, n.phi, n.src_sel, n.trg_sel, n.label)
         elif isinstance(n, Path):
-            children = [build(c) for c in n.children]
-            if mode == "sga":
-                op = SPathOp(spark, children, n.regex, n.label)
-            else:
-                op = dd.DDDistinctOp(
-                    spark, dd.DDPathOp(spark, children, n.regex, n.label)
-                )
+            path = SPathOp if sga else dd.DDPathOp
+            op = path(spark, [build(c) for c in n.children], n.regex, n.label)
         else:
             raise TypeError(f"unknown SGA node {n!r}")
+        # DD restores set semantics after every operator that can change
+        # a key's multiplicity; FILTER cannot.
+        if not sga and not isinstance(n, Filter):
+            op = dd.DDDistinctOp(spark, op)
         memo[id(n)] = op
         return op
 
     return build(node), sources
-
-
-def _plan_window(node: SGANode) -> Tuple[int, int]:
-    """Extract the (window, slide) spec from the plan's WSCANs."""
-    specs = set()
-
-    def walk(n: SGANode) -> None:
-        if isinstance(n, Wscan):
-            specs.add((n.size, n.slide))
-        for c in n.children_nodes():
-            walk(c)
-
-    walk(node)
-    if len(specs) != 1:
-        raise ValueError(f"plan must have exactly one window spec, got {specs}")
-    return specs.pop()
-
-
-def _plan_labels(node: SGANode) -> set:
-    labels = set()
-
-    def walk(n: SGANode) -> None:
-        if isinstance(n, Wscan):
-            labels.add(n.source)
-        for c in n.children_nodes():
-            walk(c)
-
-    walk(node)
-    return labels
 
 
 class MicroBatchEngine:
@@ -156,9 +104,12 @@ class MicroBatchEngine:
         self.plan = plan
         self.mode = mode
         self.shuffle_partitions = shuffle_partitions
-        self.window, self.slide = _plan_window(plan)
-        self.labels = _plan_labels(plan)
         self.root, self.sources = compile_plan(spark, plan, mode)
+        specs = {(s.size, s.slide) for s in self.sources}
+        if len(specs) != 1:
+            raise ValueError(f"plan must have exactly one window spec, got {specs}")
+        (self.window, self.slide), = specs
+        self.labels = {s.label for s in self.sources}
         if mode == "sga":
             self.result = ResultState(spark)
         else:

@@ -3,11 +3,17 @@
 Differential Dataflow evaluates an SGQ by keeping each sliding window as
 an *evolving collection*: a window movement triggers insertions of new
 sgts and **explicit deletions** of expired ones, which flow through the
-dataflow as weighted (±1) deltas. This module reimplements that
-evaluation strategy over Spark DataFrames:
+dataflow as weighted (±1) deltas. This module holds the operators where
+that strategy differs from the direct approach; everything else is
+shared with it:
 
-* linear operators (source, filter, union, join, distinct) are weighted
-  z-set operators — a deletion is a tuple with weight −1;
+* FILTER and UNION are the direct engine's stateless ``FilterOp`` and
+  ``UnionOp`` (both are linear, so they map ±1 deltas as they map sgts);
+  ``DDDistinctOp`` on top of a UNION sums the weights per key;
+* the source is the direct WSCAN plus the window state that emits −1
+  *negative tuples* on expiry;
+* PATTERN is a weighted symmetric join on the shared left-deep join
+  tree (``algebra.join_phi``);
 * recursion (PATH) is maintained with the classical **DRed** algorithm
   [Gupta et al. '93], which the paper identifies as the negative-tuple
   strategy for recursive views: on deletion, over-delete everything
@@ -22,17 +28,18 @@ Delta schema: ``src:long, trg:long, label:string, w:long``.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from functools import reduce
+from typing import List, Sequence, Tuple
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import model
-from repro.core.algebra import Pos
+from repro.core.algebra import Pos, join_phi, transitions
 from repro.core.regex import compile_dfa
-from repro.dataflow.operators import PhysOp
+from repro.dataflow.operators import PhysOp, SourceOp, prune_valid
 
 DD_SCHEMA = StructType(
     [
@@ -64,31 +71,20 @@ def _consolidate(df: DataFrame) -> DataFrame:
     )
 
 
-class DDSourceOp(PhysOp):
-    """Windowed source: emits +1 for arriving sges and −1 *negative tuples*
-    for sges expiring from the time-based sliding window (the WSCAN
-    extension the paper describes for the DD baseline)."""
+class DDSourceOp(SourceOp):
+    """Windowed source: the direct WSCAN's +1 for arriving sges, plus −1
+    *negative tuples* for sges expiring from the time-based sliding window
+    (the WSCAN extension the paper describes for the DD baseline)."""
 
     def __init__(self, spark: SparkSession, label: str, size: int, slide: int):
-        super().__init__(spark)
-        self.label = label
-        self.size = size
-        self.slide = slide
-        self.pending: Optional[pd.DataFrame] = None
+        super().__init__(spark, label, size, slide)
         self.window: DataFrame = model.empty_sgt(spark)
 
     def _on_slide(self, t_now: int) -> DataFrame:
-        batch = self.pending
-        self.pending = None
-        if batch is not None and len(batch):
-            arriving = model.wscan(
-                model.sge_df(self.spark, batch), self.size, self.slide
-            )
-        else:
-            arriving = model.empty_sgt(self.spark)
+        arriving = super()._on_slide(t_now)
         expiring = self.window.filter(F.col("exp") <= F.lit(t_now))
         self.window = (
-            self.window.filter(F.col("exp") > F.lit(t_now))
+            prune_valid(self.window, t_now)
             .unionByName(arriving)
             .coalesce(4)
             .localCheckpoint(eager=True)
@@ -133,35 +129,8 @@ class DDDistinctOp(PhysOp):
         return self.counts.select(*_KEY)
 
 
-class DDFilterOp(PhysOp):
-    def __init__(self, spark: SparkSession, child: PhysOp, predicate: str):
-        super().__init__(spark)
-        self.child = child
-        self.predicate = predicate
-
-    def _on_slide(self, t_now: int) -> DataFrame:
-        return self.child.process(t_now).filter(self.predicate)
-
-
-class DDUnionOp(PhysOp):
-    def __init__(
-        self, spark: SparkSession, children: Sequence[PhysOp], label: Optional[str]
-    ):
-        super().__init__(spark)
-        self.children = list(children)
-        self.label = label
-
-    def _on_slide(self, t_now: int) -> DataFrame:
-        out = self.children[0].process(t_now)
-        for c in self.children[1:]:
-            out = out.unionByName(c.process(t_now))
-        if self.label:
-            out = out.withColumn("label", F.lit(self.label))
-        return _consolidate(out)
-
-
 class DDJoinOp(PhysOp):
-    """Weighted n-way join (PATTERN as a series of joins). Deltas are
+    """Weighted n-way join (PATTERN on ``algebra.join_phi``). Deltas are
     propagated bilinearly with the telescoping expansion, so a deletion on
     any input retracts exactly the matches it participated in."""
 
@@ -182,42 +151,12 @@ class DDJoinOp(PhysOp):
         self.label = label
         self.states: List[DataFrame] = [_empty_dd(spark) for _ in self.children]
 
-    def _renamed(self, df: DataFrame, i: int) -> DataFrame:
-        return df.select(
-            F.col("src").alias(f"src{i}"),
-            F.col("trg").alias(f"trg{i}"),
-            F.col("label").alias(f"label{i}"),
-            F.col("w").alias(f"w{i}"),
-        )
-
     def _join(self, inputs: List[DataFrame]) -> DataFrame:
-        n = len(inputs)
-        applied = [False] * len(self.phi)
-        acc = self._renamed(inputs[0], 0)
-        joined = {0}
-        for i in range(1, n):
-            joined.add(i)
-            conds = []
-            for k, ((a, pa), (b, pb)) in enumerate(self.phi):
-                if not applied[k] and a in joined and b in joined and (
-                    a == i or b == i
-                ):
-                    conds.append(F.col(f"{pa}{a}") == F.col(f"{pb}{b}"))
-                    applied[k] = True
-            nxt = self._renamed(inputs[i], i)
-            if conds:
-                cond = conds[0]
-                for c in conds[1:]:
-                    cond = cond & c
-                acc = acc.join(nxt, on=cond, how="inner")
-            else:
-                acc = acc.crossJoin(nxt)
-        w = F.col("w0")
-        for i in range(1, n):
-            w = w * F.col(f"w{i}")
+        """One telescoping term: the shared join tree, weights multiplied."""
         si, sp = self.src_sel
         ti, tp = self.trg_sel
-        return acc.select(
+        w = reduce(operator.mul, [F.col(f"w{i}") for i in range(len(inputs))])
+        return join_phi(inputs, self.phi).select(
             F.col(f"{sp}{si}").alias("src"),
             F.col(f"{tp}{ti}").alias("trg"),
             F.lit(self.label).alias("label"),
@@ -270,9 +209,7 @@ class DDPathOp(PhysOp):
         self.label = label
         self.max_iters = max_iters
         self.dfa = compile_dfa(regex)
-        self.trans = spark.createDataFrame(
-            self.dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
-        )
+        self.trans = transitions(spark, self.dfa)
         self.edges: DataFrame = spark.createDataFrame(
             [], StructType([f for f in DD_SCHEMA.fields if f.name != "w"])
         )

@@ -25,15 +25,10 @@ from typing import Sequence
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    ArrayType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core import model
+from repro.core.algebra import ProductGraph
 from repro.core.coalesce import coalesce_sgts
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, prune_valid
@@ -68,55 +63,11 @@ class SPathOp(PhysOp):
         self.label = label
         self.max_iters = max_iters
         self.dfa = compile_dfa(regex)
-        self.trans = spark.createDataFrame(
-            self.dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
-        )
+        self.graph = ProductGraph(spark, self.dfa)
         self.index: DataFrame = spark.createDataFrame([], _INDEX_SCHEMA)
         self.edges: DataFrame = model.empty_sgt(spark)
 
     # -- helpers ----------------------------------------------------------
-    def _steps(self, sgts: DataFrame) -> DataFrame:
-        """Join sgts with DFA transitions: one row per (edge, transition)."""
-        return sgts.join(
-            F.broadcast(self.trans), F.col("label") == F.col("l")
-        ).select(
-            F.col("s").alias("e_s"),
-            F.col("t").alias("e_t"),
-            F.col("src").alias("e_src"),
-            F.col("trg").alias("e_trg"),
-            F.col("ts").alias("e_ts"),
-            F.col("exp").alias("e_exp"),
-            F.array(F.struct("src", "trg", "label")).alias("e_path"),
-        )
-
-    @staticmethod
-    def _extend(nodes: DataFrame, steps: DataFrame) -> DataFrame:
-        """Candidate children: extend path segments with compatible steps
-        (interval intersection per Def. 20)."""
-        return (
-            nodes.join(
-                steps,
-                (F.col("v") == F.col("e_src")) & (F.col("state") == F.col("e_s")),
-            )
-            .select(
-                "x",
-                F.col("e_trg").alias("nv"),
-                F.col("e_t").alias("nstate"),
-                F.greatest("ts", "e_ts").alias("nts"),
-                F.least("exp", "e_exp").alias("nexp"),
-                F.concat("path", "e_path").alias("npath"),
-            )
-            .filter(F.col("nts") < F.col("nexp"))
-            .select(
-                "x",
-                F.col("nv").alias("v"),
-                F.col("nstate").alias("state"),
-                F.col("nts").alias("ts"),
-                F.col("nexp").alias("exp"),
-                F.col("npath").alias("path"),
-            )
-        )
-
     def _merge(self, cands: DataFrame) -> DataFrame:
         """Merge candidates into Δ-PATH. Returns the changed rows (inserted
         nodes and nodes whose expiry was extended — Expand / Propagate).
@@ -189,19 +140,13 @@ class SPathOp(PhysOp):
             self.edges = edges_new
             return model.empty_sgt(self.spark)
 
-        steps_delta = self._steps(delta).localCheckpoint(eager=True)
-        steps_all = self._steps(edges_new).localCheckpoint(eager=True)
+        steps_delta = self.graph.steps(delta).localCheckpoint(eager=True)
+        steps_all = self.graph.steps(edges_new).localCheckpoint(eager=True)
 
         # Seeds (root extensions, line 7) + extensions of stored segments.
-        seeds = steps_delta.filter(F.col("e_s") == self.dfa.start).select(
-            F.col("e_src").alias("x"),
-            F.col("e_trg").alias("v"),
-            F.col("e_t").alias("state"),
-            F.col("e_ts").alias("ts"),
-            F.col("e_exp").alias("exp"),
-            F.col("e_path").alias("path"),
+        cands = self.graph.seeds(steps_delta).unionByName(
+            self.graph.extend(self.index, steps_delta)
         )
-        cands = seeds.unionByName(self._extend(self.index, steps_delta))
 
         finals = [int(s) for s in self.dfa.finals]
         results = self.spark.createDataFrame([], _INDEX_SCHEMA)
@@ -220,7 +165,7 @@ class SPathOp(PhysOp):
             results = results.unionByName(
                 changed.filter(F.col("state").isin(finals))
             )
-            cands = self._extend(changed, steps_all)
+            cands = self.graph.extend(changed, steps_all)
         else:
             raise RuntimeError(f"S-PATH did not converge in {self.max_iters} iterations")
 

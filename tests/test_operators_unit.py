@@ -1,17 +1,18 @@
 """Unit tests for individual physical operators (both approaches)."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import model
-from repro.dataflow.negtuple import (
-    DDDistinctOp,
-    DDSourceOp,
-    DDUnionOp,
-    _consolidate,
-    _empty_dd,
+from repro.core.algebra import Filter, Union, Wscan
+from repro.dataflow.engine import compile_plan
+from repro.dataflow.negtuple import DDDistinctOp, DDSourceOp, _consolidate, _empty_dd
+from repro.dataflow.operators import (
+    FilterOp,
+    ResultState,
+    SourceOp,
+    UnionOp,
+    prune_valid,
 )
-from repro.dataflow.operators import ResultState, SourceOp, UnionOp, prune_valid
 
 
 def batch(rows):
@@ -106,14 +107,29 @@ def test_dd_distinct_set_semantics(spark_small):
 
 
 def test_dd_union_consolidates(spark_small):
+    """DD's UNION is the shared UnionOp under a distinct, which sums the
+    weights per key."""
     def dd_rows(rows):
         return spark_small.createDataFrame(rows, ["src", "trg", "label", "w"])
 
     a = Feed({0: dd_rows([(1, 2, "x", 1)])})
     b = Feed({0: dd_rows([(1, 2, "x", -1), (3, 4, "y", 1)])})
-    op = DDUnionOp(spark_small, [a, b], label=None)
+    op = DDDistinctOp(spark_small, UnionOp(spark_small, [a, b], label=None))
     out = {(r.src, r.trg, r.label, r.w) for r in op.process(0).collect()}
     assert out == {(3, 4, "y", 1)}  # +1 and −1 cancel
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+def test_filter_union_shared_across_modes(spark_small, mode):
+    plan = Filter(Union([Wscan("a", 4, 2), Wscan("b", 4, 2)], label="d"), "src <> trg")
+    root, sources = compile_plan(spark_small, plan, mode)
+    assert type(root) is FilterOp
+    union = root.child
+    if mode == "dd":
+        assert type(union) is DDDistinctOp
+        union = union.child
+    assert type(union) is UnionOp
+    assert all(isinstance(s, SourceOp) for s in sources)
 
 
 def test_consolidate_drops_zero_weights(spark_small):

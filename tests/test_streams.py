@@ -1,6 +1,5 @@
 """Dataset-substitute generators: schema + the structural properties the
 paper's analysis depends on (see DESIGN.md §3)."""
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -96,10 +95,3 @@ def test_ldbc_deterministic():
     b = ldbc_stream(n_persons=20, n_messages=50, seed=3)
     pd.testing.assert_frame_equal(a, b)
 
-
-def test_graph_stream_spark_entrypoint(spark_small):
-    from repro.synth_data import graph_stream
-
-    df = graph_stream(spark_small, "so", n_edges=50, t_span=10, seed=0)
-    assert df.columns == ["src", "trg", "label", "ts"]
-    assert df.count() == 50
