@@ -9,7 +9,9 @@ over Spark DataFrames:
   the *direct*-approach operators (mode ``"sga"``: symmetric hash join,
   S-PATH) or the *negative-tuple* baseline (mode ``"dd"``: weighted
   deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION and
-  differ only where expiry handling does;
+  differ only where expiry handling does. DD operators pass bags of
+  weighted deltas; a ``DDDistinctOp`` makes them a set only at each
+  PATH's input and at the sink (``result_counts``);
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), timing each
   window movement end-to-end — arriving sgts, expirations, and result
@@ -80,10 +82,6 @@ def compile_plan(
             op = path(spark, [build(c) for c in n.children], n.regex, n.label)
         else:
             raise TypeError(f"unknown SGA node {n!r}")
-        # DD restores set semantics after every operator that can change
-        # a key's multiplicity; FILTER cannot.
-        if not sga and not isinstance(n, Filter):
-            op = dd.DDDistinctOp(spark, op)
         memo[id(n)] = op
         return op
 

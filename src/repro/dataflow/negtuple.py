@@ -3,17 +3,21 @@
 Differential Dataflow evaluates an SGQ by keeping each sliding window as
 an *evolving collection*: a window movement triggers insertions of new
 sgts and **explicit deletions** of expired ones, which flow through the
-dataflow as weighted (±1) deltas. This module holds the operators where
+dataflow as weighted deltas. This module holds the operators where
 that strategy differs from the direct approach; everything else is
 shared with it:
 
 * FILTER and UNION are the direct engine's stateless ``FilterOp`` and
-  ``UnionOp`` (both are linear, so they map ±1 deltas as they map sgts);
-  ``DDDistinctOp`` on top of a UNION sums the weights per key;
+  ``UnionOp`` (both are linear, so they map weighted deltas unchanged);
 * the source is the direct WSCAN plus the window state that emits −1
   *negative tuples* on expiry;
 * PATTERN is a weighted symmetric join on the shared left-deep join
   tree (``algebra.join_phi``);
+* ``DDDistinctOp`` keeps multiplicities and emits set-level changes;
+  as in Differential Dataflow it runs only where a set is needed: at
+  each PATH's input (DRed's edge set) and at the sink. Elsewhere a key's
+  weight counts its derivations (WSCAN, UNION and the join are exact on
+  bags);
 * recursion (PATH) is maintained with the classical **DRed** algorithm
   [Gupta et al. '93], which the paper identifies as the negative-tuple
   strategy for recursive views: on deletion, over-delete everything
@@ -39,7 +43,7 @@ from pyspark.sql.types import LongType, StringType, StructField, StructType
 from repro.core import model
 from repro.core.algebra import Pos, join_phi, transitions
 from repro.core.regex import compile_dfa
-from repro.dataflow.operators import PhysOp, SourceOp, prune_valid
+from repro.dataflow.operators import PhysOp, SourceOp, UnionOp, prune_valid
 
 DD_SCHEMA = StructType(
     [
@@ -122,7 +126,7 @@ class DDDistinctOp(PhysOp):
             )
         )
         out = out.localCheckpoint(eager=True)
-        self.counts = merged.filter(F.col("w") > 0).localCheckpoint(eager=True)
+        self.counts = merged.filter(F.col("w") > 0)
         return out
 
     def current_keys(self) -> DataFrame:
@@ -190,10 +194,11 @@ class DDJoinOp(PhysOp):
 class DDPathOp(PhysOp):
     """DRed-maintained PATH over the (vertex × DFA-state) product graph.
 
-    Children must deliver set-semantic deltas (w ∈ {+1, −1}); the output
-    is the fact-level change of accepting product-graph facts, projected
-    to ``(src, trg)`` (a downstream ``DDDistinctOp`` collapses multiple
-    accepting states).
+    The children's weighted deltas pass through the operator's own
+    ``DDDistinctOp``, whose key set is the current edge set (``edges``).
+    The output counts accepting product-graph facts per ``(src, trg)``:
+    a pair reached in two accepting states has weight 2, and the sink's
+    distinct makes it a set.
     """
 
     def __init__(
@@ -205,14 +210,12 @@ class DDPathOp(PhysOp):
         max_iters: int = 200,
     ):
         super().__init__(spark)
-        self.children = list(children)
+        self.child = DDDistinctOp(spark, UnionOp(spark, children, None))
         self.label = label
         self.max_iters = max_iters
         self.dfa = compile_dfa(regex)
         self.trans = transitions(spark, self.dfa)
-        self.edges: DataFrame = spark.createDataFrame(
-            [], StructType([f for f in DD_SCHEMA.fields if f.name != "w"])
-        )
+        self.edges: DataFrame = self.child.current_keys()
         self.facts: DataFrame = spark.createDataFrame([], _FACT_SCHEMA)
 
     def _steps(self, edges: DataFrame) -> DataFrame:
@@ -264,24 +267,21 @@ class DDPathOp(PhysOp):
         raise RuntimeError("DRed insertion fixpoint did not converge")
 
     def _on_slide(self, t_now: int) -> DataFrame:
-        delta = self.children[0].process(t_now)
-        for c in self.children[1:]:
-            delta = delta.unionByName(c.process(t_now))
         labels = [str(l) for l in self.dfa.labels()]
-        delta = _consolidate(delta.filter(F.col("label").isin(labels)))
-        delta = delta.localCheckpoint(eager=True)
+        delta = self.child.process(t_now).filter(F.col("label").isin(labels))
         adds = delta.filter(F.col("w") > 0).select(*_KEY)
         dels = delta.filter(F.col("w") < 0).select(*_KEY)
         fkeys = ["x", "v", "state"]
         finals = [int(s) for s in self.dfa.finals]
         f_old = self.facts
-        old_out = f_old.filter(F.col("state").isin(finals)).localCheckpoint(eager=True)
+        old_out = f_old.filter(F.col("state").isin(finals))
+        edges_old = self.edges
+        self.edges = self.child.current_keys()
 
         facts = f_old
-        edges = self.edges
         if not dels.isEmpty():
             # --- over-deletion (w.r.t. the pre-deletion database) ---
-            steps_old = self._steps(edges).localCheckpoint(eager=True)
+            steps_old = self._steps(edges_old).localCheckpoint(eager=True)
             steps_del = self._steps(dels).localCheckpoint(eager=True)
             od = (
                 self._base(steps_del)
@@ -305,10 +305,11 @@ class DDPathOp(PhysOp):
                 raise RuntimeError("DRed over-deletion did not converge")
 
             facts = facts.join(od, on=fkeys, how="left_anti").localCheckpoint(eager=True)
-            edges = edges.join(dels, on=_KEY, how="left_anti").localCheckpoint(eager=True)
 
             # --- re-derivation from surviving facts/edges ---
-            steps_new = self._steps(edges).localCheckpoint(eager=True)
+            # The edges between deletion and insertion: old − dels = new − adds.
+            edges_mid = self.edges.join(adds, on=_KEY, how="left_anti")
+            steps_new = self._steps(edges_mid).localCheckpoint(eager=True)
             redelta = (
                 self._base(steps_new)
                 .unionByName(self._one_step(facts, steps_new))
@@ -320,10 +321,7 @@ class DDPathOp(PhysOp):
             facts = self._fix_add(facts, redelta, steps_new)
 
         if not adds.isEmpty():
-            edges = (
-                edges.unionByName(adds).distinct().coalesce(4).localCheckpoint(eager=True)
-            )
-            steps_new = self._steps(edges).localCheckpoint(eager=True)
+            steps_new = self._steps(self.edges).localCheckpoint(eager=True)
             steps_add = self._steps(adds).localCheckpoint(eager=True)
             delta_f = (
                 self._base(steps_add)
@@ -335,7 +333,6 @@ class DDPathOp(PhysOp):
             facts = self._fix_add(facts, delta_f, steps_new)
 
         self.facts = facts.localCheckpoint(eager=True)
-        self.edges = edges
 
         new_out = facts.filter(F.col("state").isin(finals))
         added = new_out.join(old_out, on=fkeys, how="left_anti")

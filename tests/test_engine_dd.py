@@ -4,6 +4,7 @@ The baseline must be *correct* (it computes the same answers as the
 direct approach — the paper compares their cost, not their results), so
 the same per-slide oracle checks apply.
 """
+import pandas as pd
 import pytest
 
 from repro.core.rq import parse_rq
@@ -81,3 +82,36 @@ def test_dd_on_cyclic_so(spark_small):
     # Many alternative derivations per pair — DRed's worst case; must stay correct.
     pdf = so_stream(n_edges=90, n_vertices=10, t_span=18, seed=2)
     run_checked(spark_small, rpq_plan("a2q+", W, BETA), pdf, mode="dd")
+
+
+#: The same (src, trg, label) arrives in two slides (ts 0 and 3, also
+#: b(2, 3) at ts 1 and 4), so at t = 5 both copies are in the window, at
+#: t = 8 only the later one is, and at t = 11 neither.
+DUPLICATES = pd.DataFrame(
+    [
+        (1, 2, "a", 0),
+        (2, 3, "b", 1),
+        (3, 2, "a", 1),
+        (1, 2, "a", 3),
+        (4, 2, "a", 3),
+        (2, 3, "b", 4),
+        (3, 4, "a", 4),
+        (5, 4, "a", 4),
+    ],
+    columns=["src", "trg", "label", "ts"],
+)
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+@pytest.mark.parametrize(
+    "program",
+    [
+        # bag weights reach the sink
+        "Ans(x, y) <- a(x, z), b(z, y)",
+        # Q8: bag weights reach PATH's input distinct
+        "P(x, y) <- a(x, z), a(y, z); Ans(x, y) <- P+(x, y)",
+    ],
+)
+def test_duplicate_edges_expire_one_copy_at_a_time(spark_small, mode, program):
+    plan = build_sga(parse_rq(program), W, BETA)
+    run_checked(spark_small, plan, DUPLICATES, mode=mode, until=12)

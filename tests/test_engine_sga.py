@@ -20,7 +20,7 @@ def pairs_sql(plan, t):
     return f"SELECT DISTINCT src, trg FROM ({sga_snapshot_sql(plan, t)})"
 
 
-def run_checked(spark, plan, pdf, mode="sga"):
+def run_checked(spark, plan, pdf, mode="sga", until=None):
     engine = MicroBatchEngine(spark, plan, mode=mode)
     checks = []
 
@@ -28,7 +28,7 @@ def run_checked(spark, plan, pdf, mode="sga"):
         check_result_set(eng.current_pairs(), pairs_sql(plan, t_now), pdf)
         checks.append(t_now)
 
-    m = engine.run(pdf, on_slide=on_slide)
+    m = engine.run(pdf, on_slide=on_slide, until=until)
     assert len(checks) >= 3, "expected at least 3 slides"
     return m
 

@@ -4,8 +4,14 @@ import pytest
 
 from repro.core import model
 from repro.core.algebra import Filter, Union, Wscan
-from repro.dataflow.engine import compile_plan
-from repro.dataflow.negtuple import DDDistinctOp, DDSourceOp, _consolidate, _empty_dd
+from repro.dataflow.engine import MicroBatchEngine, compile_plan
+from repro.dataflow.negtuple import (
+    DDDistinctOp,
+    DDPathOp,
+    DDSourceOp,
+    _consolidate,
+    _empty_dd,
+)
 from repro.dataflow.operators import (
     FilterOp,
     ResultState,
@@ -13,6 +19,7 @@ from repro.dataflow.operators import (
     UnionOp,
     prune_valid,
 )
+from repro.queries.workload import DATASETS, QUERIES, get_query
 
 
 def batch(rows):
@@ -124,12 +131,36 @@ def test_filter_union_shared_across_modes(spark_small, mode):
     plan = Filter(Union([Wscan("a", 4, 2), Wscan("b", 4, 2)], label="d"), "src <> trg")
     root, sources = compile_plan(spark_small, plan, mode)
     assert type(root) is FilterOp
-    union = root.child
-    if mode == "dd":
-        assert type(union) is DDDistinctOp
-        union = union.child
-    assert type(union) is UnionOp
+    assert type(root.child) is UnionOp
     assert all(isinstance(s, SourceOp) for s in sources)
+
+
+def _operators(root):
+    """Every operator instance reachable from ``root``."""
+    seen, stack = {}, [root]
+    while stack:
+        op = stack.pop()
+        if id(op) not in seen:
+            seen[id(op)] = op
+            stack.extend(getattr(op, "children", []))
+            if hasattr(op, "child"):
+                stack.append(op.child)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("dataset", DATASETS)
+@pytest.mark.parametrize("query", list(QUERIES))
+def test_dd_distinct_only_at_path_input_and_sink(spark_small, dataset, query):
+    """DD makes deltas a set only where one is needed: each PATH's input
+    (DRed's edge set) and the sink."""
+    plan = get_query(query, dataset).plan(6, 3)
+    engine = MicroBatchEngine(spark_small, plan, mode="dd")
+    ops = _operators(engine.root)
+    paths = [op for op in ops if type(op) is DDPathOp]
+    distincts = [op for op in ops if type(op) is DDDistinctOp]
+    assert sorted(map(id, distincts)) == sorted(id(p.child) for p in paths)
+    assert type(engine.result_counts) is DDDistinctOp
+    assert engine.result_counts.child is engine.root
 
 
 def test_consolidate_drops_zero_weights(spark_small):
