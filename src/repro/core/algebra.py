@@ -14,9 +14,10 @@ module is the ground truth they are validated against.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -240,15 +241,28 @@ def join_pattern(
     return coalesce_sgts(out) if do_coalesce else out
 
 
-def transitions(spark: SparkSession, dfa: DFA) -> DataFrame:
-    """The DFA's transition table ``(s, l, t)``; a never-matching row
-    stands in for an empty table, which has no schema to infer."""
-    return spark.createDataFrame(dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"])
+def step_index(dfa: DFA, edges: Iterable[tuple]) -> Dict[Tuple[int, int], list]:
+    """The product graph's steps by node, built on the driver for the
+    per-root PATH kernels of both engines: ``(vertex, state)`` maps to the
+    ``(next state, edge)`` pairs leaving it, one per edge out of ``vertex``
+    whose label has a transition from ``state`` in ``dfa.table()``.
+
+    ``edges`` are tuples ``(src, trg, label, ...)``; whatever follows the
+    label (S-PATH's ``ts, exp``) rides along in ``edge``.
+    """
+    moves = defaultdict(list)
+    for s, l, t in dfa.table():
+        moves[l].append((s, t))
+    index = defaultdict(list)
+    for e in edges:
+        for s, t in moves.get(e[2], ()):
+            index[(e[0], s)].append((t, e))
+    return dict(index)
 
 
 class ProductGraph:
-    """The (vertex × DFA-state) product graph a PATH walks over sgts —
-    shared by the batch fixpoint and S-PATH.
+    """The (vertex × DFA-state) product graph the batch PATH fixpoint walks
+    over sgt DataFrames.
 
     A *step* is one (edge, DFA transition) pair; a *node* is a path
     segment ``(x, v, state, ts, exp, path)``: a walk from ``x`` to ``v``
@@ -258,7 +272,11 @@ class ProductGraph:
 
     def __init__(self, spark: SparkSession, dfa: DFA):
         self.start = dfa.start
-        self.trans = transitions(spark, dfa)
+        # A never-matching row stands in for an empty transition table,
+        # which has no schema to infer.
+        self.trans = spark.createDataFrame(
+            dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
+        )
 
     def steps(self, sgts: DataFrame) -> DataFrame:
         """Join sgts with DFA transitions: one row per (edge, transition)."""

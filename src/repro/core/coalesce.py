@@ -6,13 +6,16 @@ adjacent validity intervals are merged into one sgt spanning
 constituent that expires furthest in the future (the ``max``-expiry
 aggregation S-PATH relies on, §6.2 fn. 11).
 
+``coalesce_intervals`` is the same coalesce over rows on the driver,
+where S-PATH keeps its window adjacency.
+
 ``pareto_intervals`` keeps, per key, only intervals not *dominated* by
 another (``ts' <= ts`` and ``exp' >= exp``) — the pruning that makes the
 batch PATH fixpoint terminate on cyclic graphs.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, List, Sequence
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -53,6 +56,22 @@ def coalesce_sgts(df: DataFrame, keys: Sequence[str] = _KEYS) -> DataFrame:
     out = island.groupBy(*keys, "_island").agg(*aggs).drop("_island")
     cols = keys + ["ts", "exp"] + (["path"] if has_path else [])
     return out.select(*cols)
+
+
+def coalesce_intervals(rows: Iterable[tuple]) -> List[tuple]:
+    """``coalesce_sgts`` on the driver, for rows ``(*key, ts, exp)``
+    without a payload: in ``(key, ts, exp)`` order, a row joins the
+    previous island of its key iff its ``ts`` is at most the island's
+    ``exp``. Returns the islands ``(*key, min ts, max exp)`` in that order.
+    """
+    out: List[tuple] = []
+    for r in sorted(rows):
+        last = out[-1] if out else None
+        if last is not None and last[:-2] == r[:-2] and r[-2] <= last[-1]:
+            out[-1] = (*last[:-1], max(last[-1], r[-1]))
+        else:
+            out.append(tuple(r))
+    return out
 
 
 def pareto_intervals(df: DataFrame, keys: Sequence[str]) -> DataFrame:

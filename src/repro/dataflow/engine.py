@@ -11,7 +11,11 @@ over Spark DataFrames:
   deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION and
   differ only where expiry handling does. DD operators pass bags of
   weighted deltas; a ``DDDistinctOp`` makes them a set only at each
-  PATH's input and at the sink (``result_counts``);
+  PATH's input and at the sink (``result_counts``). In both modes PATH
+  is one grouped Spark stage per slide: Δ-PATH trees (S-PATH) and DRed's
+  product-graph facts depend only on their root and the window's edges,
+  so ``groupBy("x").applyInPandas`` runs each root's fixpoint in memory
+  against a window adjacency the operator keeps on the driver;
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), timing each
   window movement end-to-end — arriving sgts, expirations, and result

@@ -23,7 +23,11 @@ shared with it:
   strategy for recursive views: on deletion, over-delete everything
   derivable from the deleted tuples, then re-derive what still has an
   alternative derivation. On cyclic graphs the over-deletion is large —
-  the cost the paper's *direct* S-PATH avoids.
+  the cost the paper's *direct* S-PATH avoids. A product-graph fact
+  ``(x, v, state)`` depends only on its root ``x`` and the edges, so, as
+  for S-PATH, a slide is one ``groupBy("x").applyInPandas`` stage that
+  runs ``dred_root`` per root in plain Python against step indexes
+  (``algebra.step_index``) of edge sets the driver keeps.
 
 Collections carry no validity intervals: window membership is entirely
 managed by the source's insert/delete pairs (CQL SEQ-WINDOW style).
@@ -33,17 +37,24 @@ Delta schema: ``src:long, trg:long, label:string, w:long``.
 from __future__ import annotations
 
 import operator
-from functools import reduce
-from typing import List, Sequence, Tuple
+import sys
+from functools import partial, reduce
+from typing import List, Sequence, Set, Tuple
 
+import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import model
-from repro.core.algebra import Pos, join_phi, transitions
+from repro.core.algebra import Pos, join_phi, step_index
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, SourceOp, UnionOp, prune_valid
+
+# The grouped stage ships the DRed kernel to Python workers by value, so
+# the workers need not import this package.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 DD_SCHEMA = StructType(
     [
@@ -63,6 +74,17 @@ _FACT_SCHEMA = StructType(
         StructField("state", LongType(), False),
     ]
 )
+
+#: The grouped stage's output: the new facts (``w`` = 0) and the accepting
+#: facts that appeared (+1) or vanished (−1) this slide.
+_STAGE_SCHEMA = StructType(
+    _FACT_SCHEMA.fields + [StructField("w", LongType(), False)]
+)
+
+#: A marker row's state: it names a new root and is no fact.
+_MARKER = -1
+
+Node = Tuple[int, int]  # (vertex, DFA state)
 
 
 def _empty_dd(spark: SparkSession) -> DataFrame:
@@ -191,14 +213,89 @@ class DDJoinOp(PhysOp):
         return _consolidate(out)
 
 
+def _step(nodes, steps) -> Set[Node]:
+    """The product-graph nodes one step from ``nodes``."""
+    return {(e[1], t) for n in nodes for t, e in steps.get(n, ())}
+
+
+def _insert(facts: Set[Node], delta: Set[Node], steps: dict, bound: int) -> Set[Node]:
+    """Semi-naive insertion fixpoint: add everything reachable from delta."""
+    for _ in range(bound):
+        if not delta:
+            return facts
+        facts |= delta
+        delta = _step(delta, steps) - facts
+    raise RuntimeError("DRed insertion fixpoint did not converge")
+
+
+def dred_root(
+    x: int,
+    facts: Set[Node],
+    start: int,
+    old: dict,
+    dels: dict,
+    mid: dict,
+    adds: dict,
+    new: dict,
+) -> Set[Node]:
+    """DRed on the product-graph facts ``(v, state)`` rooted at ``x``;
+    returns the new fact set.
+
+    ``old``, ``dels``, ``mid``, ``adds`` and ``new`` are ``step_index``es of
+    the edges before the slide, deleted, in between (old − dels = new −
+    adds), added, and after it. Over-delete everything the deleted edges
+    derive w.r.t. the old edges, re-derive the over-deleted facts that still
+    have a derivation over ``mid``, then insert what the added edges
+    derive. Every round adds a fact, so the rounds are bounded by the
+    number of product-graph nodes.
+    """
+    facts = set(facts)
+    root = {(x, start)}
+    bound = len(_step(old, old) | _step(new, new)) + 1
+    # --- over-deletion (w.r.t. the pre-deletion database) ---
+    od = _step(root | facts, dels) & facts
+    frontier = od
+    for _ in range(bound):
+        if not frontier:
+            break
+        frontier = (_step(frontier, old) & facts) - od
+        od |= frontier
+    else:
+        raise RuntimeError("DRed over-deletion did not converge")
+    facts -= od
+    # --- re-derivation from surviving facts/edges ---
+    facts = _insert(facts, (_step(root | facts, mid) & od) - facts, mid, bound)
+    # --- insertion ---
+    return _insert(facts, _step(root | facts, adds) - facts, new, bound)
+
+
+def _dred_group(pdf, start, finals, **steps):
+    """``dred_root`` over one root's facts and markers. (Without type
+    hints: ``applyInPandas`` would try to read a UDF type from them.)"""
+    x = int(pdf.x.iloc[0])
+    before = {
+        (v, s) for v, s in zip(pdf.v.tolist(), pdf.state.tolist()) if s != _MARKER
+    }
+    after = dred_root(x, before, start, **steps)
+    was = {n for n in before if n[1] in finals}
+    now = {n for n in after if n[1] in finals}
+    rows = [(*n, 0) for n in after]
+    rows += [(*n, 1) for n in now - was] + [(*n, -1) for n in was - now]
+    out = pd.DataFrame(rows, columns=["v", "state", "w"])
+    out.insert(0, "x", x)
+    return out
+
+
 class DDPathOp(PhysOp):
     """DRed-maintained PATH over the (vertex × DFA-state) product graph.
 
     The children's weighted deltas pass through the operator's own
     ``DDDistinctOp``, whose key set is the current edge set (``edges``).
-    The output counts accepting product-graph facts per ``(src, trg)``:
-    a pair reached in two accepting states has weight 2, and the sink's
-    distinct makes it a set.
+    Per slide, one grouped stage over ``facts`` plus a marker row per new
+    root runs ``dred_root`` per root, against step indexes of the edge
+    sets that the driver keeps. The output counts accepting product-graph
+    facts per ``(src, trg)``: a pair reached in two accepting states has
+    weight 2, and the sink's distinct makes it a set.
     """
 
     def __init__(
@@ -207,147 +304,58 @@ class DDPathOp(PhysOp):
         children: Sequence[PhysOp],
         regex: str,
         label: str,
-        max_iters: int = 200,
     ):
         super().__init__(spark)
         self.child = DDDistinctOp(spark, UnionOp(spark, children, None))
         self.label = label
-        self.max_iters = max_iters
         self.dfa = compile_dfa(regex)
-        self.trans = transitions(spark, self.dfa)
         self.edges: DataFrame = self.child.current_keys()
         self.facts: DataFrame = spark.createDataFrame([], _FACT_SCHEMA)
-
-    def _steps(self, edges: DataFrame) -> DataFrame:
-        return edges.join(
-            F.broadcast(self.trans), F.col("label") == F.col("l")
-        ).select(
-            F.col("s").alias("e_s"),
-            F.col("t").alias("e_t"),
-            F.col("src").alias("e_src"),
-            F.col("trg").alias("e_trg"),
-        )
-
-    @staticmethod
-    def _one_step(facts: DataFrame, steps: DataFrame) -> DataFrame:
-        return (
-            facts.join(
-                steps,
-                (F.col("v") == F.col("e_src")) & (F.col("state") == F.col("e_s")),
-            )
-            .select("x", F.col("e_trg").alias("v"), F.col("e_t").alias("state"))
-            .distinct()
-        )
-
-    def _base(self, steps: DataFrame) -> DataFrame:
-        return (
-            steps.filter(F.col("e_s") == self.dfa.start)
-            .select(
-                F.col("e_src").alias("x"),
-                F.col("e_trg").alias("v"),
-                F.col("e_t").alias("state"),
-            )
-            .distinct()
-        )
-
-    def _fix_add(self, facts: DataFrame, delta: DataFrame, steps: DataFrame) -> DataFrame:
-        """Semi-naive insertion fixpoint: add everything reachable from delta."""
-        fkeys = ["x", "v", "state"]
-        for _ in range(self.max_iters):
-            if delta.isEmpty():
-                return facts
-            facts = (
-                facts.unionByName(delta).coalesce(4).localCheckpoint(eager=True)
-            )
-            delta = (
-                self._one_step(delta, steps)
-                .join(facts, on=fkeys, how="left_anti")
-                .localCheckpoint(eager=True)
-            )
-        raise RuntimeError("DRed insertion fixpoint did not converge")
+        # The edge set (src, trg, label) of the PATH's labels, kept up to
+        # date from the distinct's set-level changes.
+        self._window: Set[tuple] = set()
 
     def _on_slide(self, t_now: int) -> DataFrame:
         labels = [str(l) for l in self.dfa.labels()]
-        delta = self.child.process(t_now).filter(F.col("label").isin(labels))
-        adds = delta.filter(F.col("w") > 0).select(*_KEY)
-        dels = delta.filter(F.col("w") < 0).select(*_KEY)
-        fkeys = ["x", "v", "state"]
-        finals = [int(s) for s in self.dfa.finals]
-        f_old = self.facts
-        old_out = f_old.filter(F.col("state").isin(finals))
-        edges_old = self.edges
+        delta = (
+            self.child.process(t_now)
+            .filter(F.col("label").isin(labels))
+            .select(*_KEY, "w")
+            .collect()
+        )
         self.edges = self.child.current_keys()
-
-        facts = f_old
-        if not dels.isEmpty():
-            # --- over-deletion (w.r.t. the pre-deletion database) ---
-            steps_old = self._steps(edges_old).localCheckpoint(eager=True)
-            steps_del = self._steps(dels).localCheckpoint(eager=True)
-            od = (
-                self._base(steps_del)
-                .unionByName(self._one_step(facts, steps_del))
-                .join(facts, on=fkeys, how="left_semi")
-                .distinct()
-                .localCheckpoint(eager=True)
-            )
-            frontier = od
-            for _ in range(self.max_iters):
-                if frontier.isEmpty():
-                    break
-                frontier = (
-                    self._one_step(frontier, steps_old)
-                    .join(facts, on=fkeys, how="left_semi")
-                    .join(od, on=fkeys, how="left_anti")
-                    .localCheckpoint(eager=True)
-                )
-                od = od.unionByName(frontier).coalesce(4).localCheckpoint(eager=True)
-            else:
-                raise RuntimeError("DRed over-deletion did not converge")
-
-            facts = facts.join(od, on=fkeys, how="left_anti").localCheckpoint(eager=True)
-
-            # --- re-derivation from surviving facts/edges ---
-            # The edges between deletion and insertion: old − dels = new − adds.
-            edges_mid = self.edges.join(adds, on=_KEY, how="left_anti")
-            steps_new = self._steps(edges_mid).localCheckpoint(eager=True)
-            redelta = (
-                self._base(steps_new)
-                .unionByName(self._one_step(facts, steps_new))
-                .join(od, on=fkeys, how="left_semi")
-                .join(facts, on=fkeys, how="left_anti")
-                .distinct()
-                .localCheckpoint(eager=True)
-            )
-            facts = self._fix_add(facts, redelta, steps_new)
-
-        if not adds.isEmpty():
-            steps_new = self._steps(self.edges).localCheckpoint(eager=True)
-            steps_add = self._steps(adds).localCheckpoint(eager=True)
-            delta_f = (
-                self._base(steps_add)
-                .unionByName(self._one_step(facts, steps_add))
-                .join(facts, on=fkeys, how="left_anti")
-                .distinct()
-                .localCheckpoint(eager=True)
-            )
-            facts = self._fix_add(facts, delta_f, steps_new)
-
-        self.facts = facts.localCheckpoint(eager=True)
-
-        new_out = facts.filter(F.col("state").isin(finals))
-        added = new_out.join(old_out, on=fkeys, how="left_anti")
-        removed = old_out.join(new_out, on=fkeys, how="left_anti")
-        out = added.select(
+        if not delta:
+            return _empty_dd(self.spark)
+        adds = {tuple(r[:3]) for r in delta if r.w > 0}
+        dels = {tuple(r[:3]) for r in delta if r.w < 0}
+        old = self._window
+        self._window = (old - dels) | adds
+        index = partial(step_index, self.dfa)
+        steps = {
+            "old": index(old),
+            "dels": index(dels),
+            "mid": index(old - dels),
+            "adds": index(adds),
+            "new": index(self._window),
+        }
+        start = self.dfa.start
+        markers = self.spark.createDataFrame(
+            [(x, x, _MARKER) for x, s in steps["adds"] if s == start], _FACT_SCHEMA
+        )
+        kernel = partial(
+            _dred_group, start=start, finals=frozenset(self.dfa.finals), **steps
+        )
+        out = (
+            self.facts.unionByName(markers)
+            .groupBy("x")
+            .applyInPandas(kernel, _STAGE_SCHEMA)
+            .localCheckpoint(eager=True)
+        )
+        self.facts = out.filter(F.col("w") == 0).drop("w")
+        changed = out.filter(F.col("w") != 0).select(
             F.col("x").alias("src"),
             F.col("v").alias("trg"),
             F.lit(self.label).alias("label"),
-            F.lit(1).alias("w"),
-        ).unionByName(
-            removed.select(
-                F.col("x").alias("src"),
-                F.col("v").alias("trg"),
-                F.lit(self.label).alias("label"),
-                F.lit(-1).alias("w"),
-            )
+            "w",
         )
-        return _consolidate(out)
+        return _consolidate(changed)

@@ -11,27 +11,46 @@ where ``path`` materializes the witness edge sequence (so results return
 actual paths — R3; parent pointers are implicit in the materialized
 sequence).
 
-Per slide, arriving sgts seed new tree roots and extend existing
-segments (Algorithm S-PATH lines 5–14); **Expand**/**Propagate** become
-an inner loop that joins the changed frontier with the snapshot graph's
-DFA-compatible steps until no node is inserted or gets its expiry
-extended. Window maintenance is *direct*: expired index entries are
-identified by their own ``exp`` and dropped — no re-derivation, in
-contrast to the negative-tuple baseline (``negtuple.py``).
+Δ-PATH is a forest of spanning trees, one per root, and a slide's work
+on one tree reads only that tree and the window's edges. So a slide is
+one grouped Spark stage: ``groupBy("x").applyInPandas`` over the index
+plus one marker row per new root (the source of an arriving edge that
+leaves the DFA's start state) runs ``spath_root`` per tree, in plain
+Python. The window's edges stay on the driver as coalesced intervals
+(Defs. 10–11, ``coalesce_intervals``), indexed by (vertex, state) with
+``algebra.step_index``, and ride into the stage with the function.
+
+``spath_root`` is Algorithm S-PATH lines 5–14 in synchronous rounds:
+arriving sgts seed the root and extend stored segments; each round merges
+the candidates into the tree (**Expand** inserts a node, **Propagate**
+raises its expiry) and extends the changed nodes by every window step,
+until nothing changes. Window maintenance is *direct*: expired index
+entries are identified by their own ``exp`` and dropped — no
+re-derivation, in contrast to the negative-tuple baseline
+(``negtuple.py``).
 """
 from __future__ import annotations
 
-from typing import Sequence
+import math
+import sys
+from functools import partial
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, LongType, StructField, StructType
+from pyspark.sql.types import ArrayType, BooleanType, LongType, StructField, StructType
 
 from repro.core import model
-from repro.core.algebra import ProductGraph
-from repro.core.coalesce import coalesce_sgts
+from repro.core.algebra import step_index
+from repro.core.coalesce import coalesce_intervals, coalesce_sgts
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, prune_valid
+
+# The grouped stage ships the kernels to Python workers by value, so the
+# workers need not import this package.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 _INDEX_SCHEMA = StructType(
     [
@@ -44,7 +63,98 @@ _INDEX_SCHEMA = StructType(
     ]
 )
 
-_IDX_COLS = ["x", "v", "state", "ts", "exp", "path"]
+#: The grouped stage's output: the new index (``result`` false) and the
+#: final-state segments inserted or extended this slide (``result`` true).
+_STAGE_SCHEMA = StructType(
+    _INDEX_SCHEMA.fields + [StructField("result", BooleanType(), False)]
+)
+
+#: A marker row's state: it names a new root and is no tree node.
+_MARKER = -1
+
+Node = Tuple[int, int]  # (vertex, DFA state)
+Segment = Tuple[int, int, tuple]  # (ts, exp, path of (src, trg, label))
+
+
+def _extend(segments, steps) -> List[tuple]:
+    """Extend segments by one compatible step, intersecting intervals
+    (Def. 20) and dropping segments whose interval is empty."""
+    out = []
+    for node, (ts, exp, path) in segments:
+        for t, e in steps.get(node, ()):
+            lo, hi = max(ts, e[3]), min(exp, e[4])
+            if lo < hi:
+                out.append(((e[1], t), (lo, hi, path + (e[:3],))))
+    return out
+
+
+def spath_root(
+    x: int,
+    nodes: Dict[Node, Segment],
+    delta: dict,
+    steps: dict,
+    start: int,
+    finals: FrozenSet[int],
+) -> List[tuple]:
+    """Algorithm S-PATH (lines 5–14) on the spanning tree rooted at ``x``.
+
+    ``nodes`` maps ``(v, state)`` to the root's valid Δ-PATH segment and is
+    updated in place. ``delta`` and ``steps`` are ``step_index``es of the
+    slide's arriving sgts and of the whole window (arrivals included), with
+    edges ``(src, trg, label, ts, exp)``. Returns the final-state segments
+    inserted or extended, as ``(v, state, ts, exp, path)``.
+
+    Propagate (line 13) updates a node only when the candidate expires
+    *later* than the stored segment; the stored ``ts`` is widened to the
+    minimum (both are valid now) and the max-exp witness path wins. Every
+    round raises some node's ``exp``, a value drawn from the window's
+    expiries, so the rounds are bounded by nodes × expiries.
+    """
+    # Seeds (line 7) are the one-step extensions of the empty walk at x.
+    cands = _extend([((x, start), (-math.inf, math.inf, ()))], delta)
+    cands += _extend(nodes.items(), delta)
+    reached = {(e[1], t) for out in steps.values() for t, e in out}
+    expiries = {e[4] for out in steps.values() for _, e in out}
+    results: List[tuple] = []
+    for _ in range(len(reached) * len(expiries) + 1):
+        best: Dict[Node, Segment] = {}
+        for node, seg in cands:
+            if node not in best or seg[1] > best[node][1]:
+                best[node] = seg
+        changed = {}
+        for node, (ts, exp, path) in best.items():
+            old = nodes.get(node)
+            if old is None or exp > old[1]:
+                changed[node] = (ts if old is None else min(old[0], ts), exp, path)
+        if not changed:
+            return results
+        nodes.update(changed)
+        results += [(*n, *seg) for n, seg in changed.items() if n[1] in finals]
+        cands = _extend(changed.items(), steps)
+    raise RuntimeError(f"S-PATH from root {x} did not converge")
+
+
+def _spath_group(pdf, delta, steps, start, finals):
+    """``spath_root`` over one root's index rows and markers. (Without type
+    hints: ``applyInPandas`` would try to read a UDF type from them.)"""
+    x = int(pdf.x.iloc[0])
+    nodes = {
+        (v, s): (ts, exp, tuple((e["src"], e["trg"], e["label"]) for e in path))
+        for v, s, ts, exp, path in zip(
+            pdf.v.tolist(), pdf.state.tolist(), pdf.ts.tolist(),
+            pdf.exp.tolist(), pdf.path.tolist(),
+        )
+        if s != _MARKER
+    }
+    results = spath_root(x, nodes, delta, steps, start, finals)
+    rows = [(*n, *seg, False) for n, seg in nodes.items()]
+    rows += [(*r, True) for r in results]
+    out = pd.DataFrame(rows, columns=["v", "state", "ts", "exp", "path", "result"])
+    out["path"] = [
+        [{"src": s, "trg": t, "label": l} for s, t, l in p] for p in out.path
+    ]
+    out.insert(0, "x", x)
+    return out
 
 
 class SPathOp(PhysOp):
@@ -56,121 +166,56 @@ class SPathOp(PhysOp):
         children: Sequence[PhysOp],
         regex: str,
         label: str,
-        max_iters: int = 200,
     ):
         super().__init__(spark)
         self.children = list(children)
         self.label = label
-        self.max_iters = max_iters
         self.dfa = compile_dfa(regex)
-        self.graph = ProductGraph(spark, self.dfa)
         self.index: DataFrame = spark.createDataFrame([], _INDEX_SCHEMA)
         self.edges: DataFrame = model.empty_sgt(spark)
+        # The window's edges (src, trg, label, ts, exp), coalesced per key.
+        self._window: List[tuple] = []
 
-    # -- helpers ----------------------------------------------------------
-    def _merge(self, cands: DataFrame) -> DataFrame:
-        """Merge candidates into Δ-PATH. Returns the changed rows (inserted
-        nodes and nodes whose expiry was extended — Expand / Propagate).
-
-        Propagate (line 13): an update happens only when the candidate
-        expires *later* than the stored segment; the stored ``ts`` is
-        widened to the minimum (the intervals overlap at the current
-        time, both being valid now), and the max-exp witness path wins.
-        """
-        best = (
-            cands.groupBy("x", "v", "state")
-            .agg(F.max_by(F.struct("ts", "exp", "path"), "exp").alias("m"))
-            .select(
-                "x",
-                "v",
-                "state",
-                F.col("m.ts").alias("ts"),
-                F.col("m.exp").alias("exp"),
-                F.col("m.path").alias("path"),
-            )
-        )
-        idx = self.index.select(
-            F.col("x").alias("i_x"),
-            F.col("v").alias("i_v"),
-            F.col("state").alias("i_state"),
-            F.col("ts").alias("i_ts"),
-            F.col("exp").alias("i_exp"),
-        )
-        joined = best.join(
-            idx,
-            (F.col("x") == F.col("i_x"))
-            & (F.col("v") == F.col("i_v"))
-            & (F.col("state") == F.col("i_state")),
-            how="left",
-        )
-        return (
-            joined.filter(F.col("i_exp").isNull() | (F.col("exp") > F.col("i_exp")))
-            .select(
-                "x",
-                "v",
-                "state",
-                F.when(F.col("i_ts").isNull(), F.col("ts"))
-                .otherwise(F.least("i_ts", "ts"))
-                .alias("ts"),
-                "exp",
-                "path",
-            )
-            .localCheckpoint(eager=True)
-        )
-
-    # -- slide processing --------------------------------------------------
     def _on_slide(self, t_now: int) -> DataFrame:
         delta = self.children[0].process(t_now)
         for c in self.children[1:]:
             delta = delta.unionByName(c.process(t_now))
         labels = [str(l) for l in self.dfa.labels()]
-        delta = (
-            coalesce_sgts(delta.filter(F.col("label").isin(labels)))
-            .localCheckpoint(eager=True)
-        )
+        rows = delta.filter(F.col("label").isin(labels)).select(
+            "src", "trg", "label", "ts", "exp"
+        ).collect()
+        arriving = coalesce_intervals(tuple(r) for r in rows)
 
         # Direct window maintenance: expired segments/edges just drop out.
         self.index = prune_valid(self.index, t_now)
-        self.edges = prune_valid(self.edges, t_now)
-        edges_new = coalesce_sgts(
-            self.edges.unionByName(delta)
-        ).localCheckpoint(eager=True)
-
-        if delta.isEmpty():
-            self.edges = edges_new
+        self._window = coalesce_intervals(
+            [e for e in self._window if e[4] > t_now] + arriving
+        )
+        self.edges = model.sgt_df(self.spark, self._window)
+        if not arriving:
             return model.empty_sgt(self.spark)
 
-        steps_delta = self.graph.steps(delta).localCheckpoint(eager=True)
-        steps_all = self.graph.steps(edges_new).localCheckpoint(eager=True)
-
-        # Seeds (root extensions, line 7) + extensions of stored segments.
-        cands = self.graph.seeds(steps_delta).unionByName(
-            self.graph.extend(self.index, steps_delta)
+        start = self.dfa.start
+        delta_steps = step_index(self.dfa, arriving)
+        markers = self.spark.createDataFrame(
+            [(x, x, _MARKER, 0, 0, None) for x, s in delta_steps if s == start],
+            _INDEX_SCHEMA,
         )
-
-        finals = [int(s) for s in self.dfa.finals]
-        results = self.spark.createDataFrame([], _INDEX_SCHEMA)
-        for it in range(self.max_iters):
-            changed = self._merge(cands)
-            if changed.isEmpty():
-                break
-            self.index = (
-                self.index.join(
-                    changed.select("x", "v", "state"), on=["x", "v", "state"], how="left_anti"
-                )
-                .unionByName(changed)
-                .coalesce(4)
-                .localCheckpoint(eager=True)
-            )
-            results = results.unionByName(
-                changed.filter(F.col("state").isin(finals))
-            )
-            cands = self.graph.extend(changed, steps_all)
-        else:
-            raise RuntimeError(f"S-PATH did not converge in {self.max_iters} iterations")
-
-        self.edges = edges_new
-        out = results.select(
+        kernel = partial(
+            _spath_group,
+            delta=delta_steps,
+            steps=step_index(self.dfa, self._window),
+            start=start,
+            finals=frozenset(self.dfa.finals),
+        )
+        out = (
+            self.index.unionByName(markers)
+            .groupBy("x")
+            .applyInPandas(kernel, _STAGE_SCHEMA)
+            .localCheckpoint(eager=True)
+        )
+        self.index = out.filter(~F.col("result")).drop("result")
+        results = out.filter(F.col("result")).select(
             F.col("x").alias("src"),
             F.col("v").alias("trg"),
             F.lit(self.label).alias("label"),
@@ -178,4 +223,4 @@ class SPathOp(PhysOp):
             "exp",
             "path",
         )
-        return coalesce_sgts(out)
+        return coalesce_sgts(results)

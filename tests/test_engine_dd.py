@@ -115,3 +115,14 @@ DUPLICATES = pd.DataFrame(
 def test_duplicate_edges_expire_one_copy_at_a_time(spark_small, mode, program):
     plan = build_sga(parse_rq(program), W, BETA)
     run_checked(spark_small, plan, DUPLICATES, mode=mode, until=12)
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+def test_long_chain_in_one_slide(spark_small, mode):
+    """An a+ chain of 300 edges arriving in one slide: the fixpoint needs
+    300 rounds, more than any fixed round limit below it allows."""
+    chain = pd.DataFrame(
+        [(i, i + 1, "a", 0) for i in range(300)],
+        columns=["src", "trg", "label", "ts"],
+    )
+    run_checked(spark_small, rpq_plan("a+", W, BETA), chain, mode=mode, until=9)

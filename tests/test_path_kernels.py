@@ -1,0 +1,135 @@
+"""The per-root PATH kernels of both engines, run without Spark: S-PATH's
+``spath_root`` on the paper's Example 9 (Fig. 5) and DRed's ``dred_root``
+against from-scratch product-graph reachability; and the driver-side
+coalesce against ``coalesce_sgts``."""
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.algebra import step_index
+from repro.core.coalesce import coalesce_intervals, coalesce_sgts
+from repro.core.regex import compile_dfa
+from repro.dataflow.negtuple import _step, dred_root
+from repro.dataflow.spath import spath_root
+
+# Vertex ids for readability (the paper uses letters).
+X, Y, U, V, S, Z, T = 1, 2, 3, 4, 5, 6, 7
+
+
+def walk(*edges):
+    """A witness path: the edges' ``(src, trg, label)``."""
+    return tuple(e[:3] for e in edges)
+
+
+def test_spath_root_example9_propagate():
+    """Fig. 5 with |W| = 9: x→z→t→u reaches u during [15, 22); y→u
+    arriving at 20 gives u a path expiring at 28. Propagate keeps u's
+    earlier ``ts``, raises its ``exp`` and takes the new witness; the
+    edges arriving at 21 extend u's subtree from there."""
+    dfa = compile_dfa("RL+")
+    (final,) = dfa.finals
+    xz, zt, tu = (X, Z, "RL", 13, 22), (Z, T, "RL", 14, 23), (T, U, "RL", 15, 24)
+    xy, yu = (X, Y, "RL", 19, 28), (Y, U, "RL", 20, 29)
+    uv, us = (U, V, "RL", 21, 30), (U, S, "RL", 21, 30)
+    nodes = {
+        (Z, final): (13, 22, walk(xz)),
+        (T, final): (14, 22, walk(xz, zt)),
+        (U, final): (15, 22, walk(xz, zt, tu)),
+        (Y, final): (19, 28, walk(xy)),
+    }
+    window = [xz, zt, tu, xy, yu]
+    out = spath_root(
+        X, nodes, step_index(dfa, [yu]), step_index(dfa, window), dfa.start, dfa.finals
+    )
+    assert out == [(U, final, 15, 28, walk(xy, yu))]
+    assert nodes[(U, final)] == (15, 28, walk(xy, yu))
+    assert nodes[(T, final)] == (14, 22, walk(xz, zt))  # untouched
+
+    window += [uv, us]
+    out = spath_root(
+        X, nodes, step_index(dfa, [uv, us]), step_index(dfa, window),
+        dfa.start, dfa.finals,
+    )
+    assert sorted(out) == [
+        (V, final, 21, 28, walk(xy, yu, uv)),
+        (S, final, 21, 28, walk(xy, yu, us)),
+    ]
+    # At t = 25 the old branch has expired; u, v and s stay reachable.
+    assert {n[0] for n, seg in nodes.items() if seg[1] > 25} == {Y, U, V, S}
+
+
+def test_spath_root_keeps_max_expiry_segment():
+    """A later-expiring candidate wins even when it arrives later; an
+    earlier-expiring one changes nothing (no Propagate, no result)."""
+    dfa = compile_dfa("a+")
+    (final,) = dfa.finals
+    old, new = (1, 2, "a", 0, 10), (1, 2, "a", 5, 12)
+    nodes = {}
+    spath_root(1, nodes, step_index(dfa, [old]), step_index(dfa, [old]),
+               dfa.start, dfa.finals)
+    assert nodes == {(2, final): (0, 10, ((1, 2, "a"),))}
+    assert spath_root(1, nodes, step_index(dfa, [(1, 2, "a", 1, 9)]),
+                      step_index(dfa, [old]), dfa.start, dfa.finals) == []
+    out = spath_root(1, nodes, step_index(dfa, [new]), step_index(dfa, [old, new]),
+                     dfa.start, dfa.finals)
+    assert out == [(2, final, 0, 12, ((1, 2, "a"),))]
+
+
+def _reachable(dfa, x, steps):
+    """From-scratch PATH semantics: the product-graph nodes reachable from
+    ``(x, start)`` in one step or more."""
+    seen, frontier = set(), {(x, dfa.start)}
+    while frontier:
+        frontier = _step(frontier, steps) - seen
+        seen |= frontier
+    return seen
+
+
+VERTICES = range(4)
+EDGES = st.tuples(
+    st.sampled_from(VERTICES), st.sampled_from(VERTICES), st.sampled_from("ab")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    regex=st.sampled_from(["a+", "a . b*", "(a . b)+", "(a | b)* . b", "a*"]),
+    windows=st.lists(st.sets(EDGES, max_size=12), min_size=1, max_size=5),
+)
+def test_dred_root_matches_reachability(regex, windows):
+    """Random insert/delete batches on small graphs with cycles and
+    self-loops: after each batch, every root's facts are exactly what is
+    reachable over the new edge set."""
+    dfa = compile_dfa(regex)
+    index = partial(step_index, dfa)
+    facts = {x: set() for x in VERTICES}
+    old = set()
+    for new in windows:
+        adds, dels = new - old, old - new
+        steps = dict(old=index(old), dels=index(dels), mid=index(old - dels),
+                     adds=index(adds), new=index(new))
+        for x in VERTICES:
+            facts[x] = dred_root(x, facts[x], dfa.start, **steps)
+            assert facts[x] == _reachable(dfa, x, steps["new"]), (x, new)
+        old = new
+
+
+INTERVALS = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 1), st.sampled_from("ab"),
+        st.integers(0, 12), st.integers(1, 6),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=INTERVALS)
+def test_coalesce_intervals_matches_coalesce_sgts(spark_small, rows):
+    rows = [(s, t, l, ts, ts + d) for s, t, l, ts, d in rows]
+    df = spark_small.createDataFrame(
+        rows, "src long, trg long, label string, ts long, exp long"
+    )
+    expected = sorted(tuple(r) for r in coalesce_sgts(df).collect())
+    assert coalesce_intervals(rows) == expected
