@@ -172,7 +172,7 @@ def explain_sga(node: SGANode, indent: int = 0) -> str:
 
 # ---------------------------------------------------------------------------
 # Batch evaluation (reference semantics), and the PATTERN join tree and
-# PATH product graph that the incremental engines reuse
+# PATH step index that the incremental engines reuse
 # ---------------------------------------------------------------------------
 def join_phi(dfs: Sequence[DataFrame], phi: Sequence[Tuple[Pos, Pos]]) -> DataFrame:
     """Left-deep n-way join on the equality terms ``phi`` — the PATTERN join
@@ -206,14 +206,14 @@ def join_pattern(
     src_sel: Pos,
     trg_sel: Pos,
     label: str,
-    do_coalesce: bool = True,
 ) -> DataFrame:
     """n-way PATTERN join over sgt DataFrames — shared by the batch operator
     and the incremental symmetric join (which calls it on delta/state mixes).
 
     The validity-interval intersection (Def. 19) is enforced on top of
     ``join_phi``. The payload of a result is the derived edge itself, as
-    in the paper's Fig. 3a.
+    in the paper's Fig. 3a. The output is not coalesced; callers coalesce
+    where they need a set.
     """
     n = len(dfs)
     acc = join_phi(dfs, phi)
@@ -238,7 +238,7 @@ def join_pattern(
             ).alias("path"),
         )
     )
-    return coalesce_sgts(out) if do_coalesce else out
+    return out
 
 
 def step_index(dfa: DFA, edges: Iterable[tuple]) -> Dict[Tuple[int, int], list]:
@@ -260,29 +260,30 @@ def step_index(dfa: DFA, edges: Iterable[tuple]) -> Dict[Tuple[int, int], list]:
     return dict(index)
 
 
-class ProductGraph:
-    """The (vertex × DFA-state) product graph the batch PATH fixpoint walks
-    over sgt DataFrames.
+def path_fixpoint(edges: DataFrame, dfa: DFA, label: str) -> DataFrame:
+    """Batch PATH: interval-aware semi-naive fixpoint over the (vertex ×
+    DFA-state) product graph.
 
-    A *step* is one (edge, DFA transition) pair; a *node* is a path
-    segment ``(x, v, state, ts, exp, path)``: a walk from ``x`` to ``v``
-    driving the DFA from its start state to ``state``, valid throughout
+    A *step* is one (edge, DFA transition) pair; a *segment* is a row
+    ``(x, v, state, ts, exp, path)``: a walk from ``x`` to ``v`` driving
+    the DFA from its start state to ``state``, valid throughout
     ``[ts, exp)`` (the intersection of its edges' intervals, Def. 20).
+    Dominated intervals are pruned per (x, v, state) so the loop
+    terminates on cyclic graphs; dominated facts cannot contribute any
+    snapshot a dominating fact does not already cover. A walk that visits
+    a product-graph node twice is dominated by its prefix up to the first
+    visit, so round *k* extends only walks of *k* distinct steps, and the
+    number of steps bounds the rounds.
     """
-
-    def __init__(self, spark: SparkSession, dfa: DFA):
-        self.start = dfa.start
-        # A never-matching row stands in for an empty transition table,
-        # which has no schema to infer.
-        self.trans = spark.createDataFrame(
-            dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
-        )
-
-    def steps(self, sgts: DataFrame) -> DataFrame:
-        """Join sgts with DFA transitions: one row per (edge, transition)."""
-        return sgts.join(
-            F.broadcast(self.trans), F.col("label") == F.col("l")
-        ).select(
+    spark = SparkSession.getActiveSession()
+    # A never-matching row stands in for an empty transition table, which
+    # has no schema to infer.
+    trans = spark.createDataFrame(
+        dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
+    )
+    steps = (
+        edges.join(F.broadcast(trans), F.col("label") == F.col("l"))
+        .select(
             F.col("s").alias("e_s"),
             F.col("t").alias("e_t"),
             F.col("src").alias("e_src"),
@@ -291,24 +292,26 @@ class ProductGraph:
             F.col("exp").alias("e_exp"),
             F.array(F.struct("src", "trg", "label")).alias("e_path"),
         )
+        .localCheckpoint(eager=True)
+    )
+    keys = ["x", "v", "state"]
+    seeds = steps.filter(F.col("e_s") == dfa.start).select(
+        F.col("e_src").alias("x"),
+        F.col("e_trg").alias("v"),
+        F.col("e_t").alias("state"),
+        F.col("e_ts").alias("ts"),
+        F.col("e_exp").alias("exp"),
+        F.col("e_path").alias("path"),
+    )
+    base = pareto_intervals(seeds, keys).localCheckpoint(eager=True)
+    acc, delta = base, base
 
-    def seeds(self, steps: DataFrame) -> DataFrame:
-        """One-edge segments: steps leaving the DFA's start state."""
-        return steps.filter(F.col("e_s") == self.start).select(
-            F.col("e_src").alias("x"),
-            F.col("e_trg").alias("v"),
-            F.col("e_t").alias("state"),
-            F.col("e_ts").alias("ts"),
-            F.col("e_exp").alias("exp"),
-            F.col("e_path").alias("path"),
-        )
-
-    @staticmethod
-    def extend(nodes: DataFrame, steps: DataFrame) -> DataFrame:
-        """Extend segments by one compatible step, intersecting intervals
-        (Def. 20) and dropping segments whose interval is empty."""
-        return (
-            nodes.join(
+    bound = steps.count() + 1
+    for _ in range(bound):
+        if delta.isEmpty():
+            break
+        extended = (
+            delta.join(
                 steps,
                 (F.col("v") == F.col("e_src")) & (F.col("state") == F.col("e_s")),
             )
@@ -322,30 +325,6 @@ class ProductGraph:
             )
             .filter(F.col("ts") < F.col("exp"))
         )
-
-
-def path_fixpoint(
-    edges: DataFrame,
-    dfa: DFA,
-    label: str,
-    max_iters: int = 64,
-) -> DataFrame:
-    """Batch PATH: interval-aware semi-naive fixpoint over the product graph.
-
-    Dominated intervals are pruned per (x, v, state) so the loop
-    terminates on cyclic graphs; dominated facts cannot contribute any
-    snapshot a dominating fact does not already cover.
-    """
-    graph = ProductGraph(SparkSession.getActiveSession(), dfa)
-    keys = ["x", "v", "state"]
-    steps = graph.steps(edges).localCheckpoint(eager=True)
-    base = pareto_intervals(graph.seeds(steps), keys).localCheckpoint(eager=True)
-    acc, delta = base, base
-
-    for it in range(max_iters):
-        if delta.isEmpty():
-            break
-        new = pareto_intervals(graph.extend(delta, steps), keys)
         dom = acc.select(
             F.col("x").alias("d_x"),
             F.col("v").alias("d_v"),
@@ -353,7 +332,7 @@ def path_fixpoint(
             F.col("ts").alias("d_ts"),
             F.col("exp").alias("d_exp"),
         )
-        new = new.join(
+        new = pareto_intervals(extended, keys).join(
             dom,
             (F.col("x") == F.col("d_x"))
             & (F.col("v") == F.col("d_v"))
@@ -365,7 +344,7 @@ def path_fixpoint(
         acc = pareto_intervals(acc.unionByName(new), keys).localCheckpoint(eager=True)
         delta = new
     else:
-        raise RuntimeError(f"PATH fixpoint did not converge in {max_iters} iterations")
+        raise RuntimeError(f"PATH fixpoint did not converge in {bound} rounds")
 
     finals = [int(s) for s in dfa.finals]
     out = acc.filter(F.col("state").isin(finals)).select(
@@ -401,7 +380,9 @@ def evaluate(node: SGANode, sources: Dict[str, DataFrame]) -> DataFrame:
         return coalesce_sgts(out)
     if isinstance(node, Pattern):
         dfs = [evaluate(c, sources) for c in node.children]
-        return join_pattern(dfs, node.phi, node.src_sel, node.trg_sel, node.label)
+        return coalesce_sgts(
+            join_pattern(dfs, node.phi, node.src_sel, node.trg_sel, node.label)
+        )
     if isinstance(node, Path):
         dfs = [evaluate(c, sources) for c in node.children]
         edges = dfs[0]

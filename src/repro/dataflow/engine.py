@@ -8,14 +8,14 @@ over Spark DataFrames:
 * ``compile_plan`` maps each logical SGA node to its physical operator —
   the *direct*-approach operators (mode ``"sga"``: symmetric hash join,
   S-PATH) or the *negative-tuple* baseline (mode ``"dd"``: weighted
-  deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION and
-  differ only where expiry handling does. DD operators pass bags of
-  weighted deltas; a ``DDDistinctOp`` makes them a set only at each
-  PATH's input and at the sink (``result_counts``). In both modes PATH
-  is one grouped Spark stage per slide: Δ-PATH trees (S-PATH) and DRed's
-  product-graph facts depend only on their root and the window's edges,
-  so ``groupBy("x").applyInPandas`` runs each root's fixpoint in memory
-  against a window adjacency the operator keeps on the driver;
+  deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION, the
+  join's telescoping shell (``DDJoinOp`` subclasses ``MultiJoinOp``) and
+  PATH's per-root grouped stage (``path_stage.run_stage``: Δ-PATH trees
+  and DRed's product-graph facts depend only on their root and the
+  window's edges), and differ only where expiry handling does: pruning
+  by ``exp`` vs −1 tuples, S-PATH's vs DRed's per-root kernel. DD
+  operators pass bags of weighted deltas; a ``DDDistinctOp`` makes them
+  a set only at each PATH's input and at the sink (``result_counts``);
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), timing each
   window movement end-to-end — arriving sgts, expirations, and result
@@ -48,6 +48,10 @@ from repro.dataflow.spath import SPathOp
 from repro.dataflow.sym_join import MultiJoinOp
 
 MODES = ("sga", "dd")
+
+#: ``spark.sql.shuffle.partitions`` while a stream runs: slide batches are
+#: small, so few partitions keep task scheduling cheap.
+SHUFFLE_PARTITIONS = 4
 
 
 def compile_plan(
@@ -95,17 +99,10 @@ def compile_plan(
 class MicroBatchEngine:
     """Persistent-query driver: replays a stream through a compiled plan."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        plan: SGANode,
-        mode: str = "sga",
-        shuffle_partitions: int = 4,
-    ):
+    def __init__(self, spark: SparkSession, plan: SGANode, mode: str = "sga"):
         self.spark = spark
         self.plan = plan
         self.mode = mode
-        self.shuffle_partitions = shuffle_partitions
         self.root, self.sources = compile_plan(spark, plan, mode)
         specs = {(s.size, s.slide) for s in self.sources}
         if len(specs) != 1:
@@ -152,9 +149,7 @@ class MicroBatchEngine:
         if len(stream) == 0:
             return metrics
         old_parts = self.spark.conf.get("spark.sql.shuffle.partitions")
-        self.spark.conf.set(
-            "spark.sql.shuffle.partitions", str(self.shuffle_partitions)
-        )
+        self.spark.conf.set("spark.sql.shuffle.partitions", str(SHUFFLE_PARTITIONS))
         try:
             beta = self.slide
             t_max = int(stream.ts.max())

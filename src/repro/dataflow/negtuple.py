@@ -11,8 +11,11 @@ shared with it:
   ``UnionOp`` (both are linear, so they map weighted deltas unchanged);
 * the source is the direct WSCAN plus the window state that emits −1
   *negative tuples* on expiry;
-* PATTERN is a weighted symmetric join on the shared left-deep join
-  tree (``algebra.join_phi``);
+* PATTERN is the direct engine's telescoping symmetric join
+  (``sym_join.MultiJoinOp``) with negative-tuple expiry: states are not
+  pruned by ``exp``, they are consolidated by weight, and a term is the
+  shared left-deep join tree (``algebra.join_phi``) with its inputs'
+  weights multiplied;
 * ``DDDistinctOp`` keeps multiplicities and emits set-level changes;
   as in Differential Dataflow it runs only where a set is needed: at
   each PATH's input (DRed's edge set) and at the sink. Elsewhere a key's
@@ -24,10 +27,10 @@ shared with it:
   derivable from the deleted tuples, then re-derive what still has an
   alternative derivation. On cyclic graphs the over-deletion is large —
   the cost the paper's *direct* S-PATH avoids. A product-graph fact
-  ``(x, v, state)`` depends only on its root ``x`` and the edges, so, as
-  for S-PATH, a slide is one ``groupBy("x").applyInPandas`` stage that
-  runs ``dred_root`` per root in plain Python against step indexes
-  (``algebra.step_index``) of edge sets the driver keeps.
+  ``(x, v, state)`` depends only on its root ``x`` and the edges, so a
+  slide is S-PATH's grouped stage (``path_stage.run_stage``) with DRed's
+  kernel: ``dred_root`` runs per root in plain Python against step
+  indexes (``algebra.step_index``) of edge sets the driver keeps.
 
 Collections carry no validity intervals: window membership is entirely
 managed by the source's insert/delete pairs (CQL SEQ-WINDOW style).
@@ -48,9 +51,11 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import model
-from repro.core.algebra import Pos, join_phi, step_index
+from repro.core.algebra import join_phi, step_index
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, SourceOp, UnionOp, prune_valid
+from repro.dataflow.path_stage import collect_delta, run_stage
+from repro.dataflow.sym_join import MultiJoinOp
 
 # The grouped stage ships the DRed kernel to Python workers by value, so
 # the workers need not import this package.
@@ -74,15 +79,6 @@ _FACT_SCHEMA = StructType(
         StructField("state", LongType(), False),
     ]
 )
-
-#: The grouped stage's output: the new facts (``w`` = 0) and the accepting
-#: facts that appeared (+1) or vanished (−1) this slide.
-_STAGE_SCHEMA = StructType(
-    _FACT_SCHEMA.fields + [StructField("w", LongType(), False)]
-)
-
-#: A marker row's state: it names a new root and is no fact.
-_MARKER = -1
 
 Node = Tuple[int, int]  # (vertex, DFA state)
 
@@ -155,30 +151,24 @@ class DDDistinctOp(PhysOp):
         return self.counts.select(*_KEY)
 
 
-class DDJoinOp(PhysOp):
-    """Weighted n-way join (PATTERN on ``algebra.join_phi``). Deltas are
-    propagated bilinearly with the telescoping expansion, so a deletion on
-    any input retracts exactly the matches it participated in."""
+class DDJoinOp(MultiJoinOp):
+    """Weighted n-way join (PATTERN on ``algebra.join_phi``). It is the
+    direct engine's telescoping symmetric join with negative-tuple expiry:
+    states keep no intervals and are not pruned (expired sgts arrive as −1
+    tuples), and a term's weight is the product of its inputs' weights, so
+    a deletion on any input retracts exactly the matches it participated
+    in."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        children: Sequence[PhysOp],
-        phi: List[Tuple[Pos, Pos]],
-        src_sel: Pos,
-        trg_sel: Pos,
-        label: str,
-    ):
-        super().__init__(spark)
-        self.children = list(children)
-        self.phi = phi
-        self.src_sel = src_sel
-        self.trg_sel = trg_sel
-        self.label = label
-        self.states: List[DataFrame] = [_empty_dd(spark) for _ in self.children]
+    def _empty(self) -> DataFrame:
+        return _empty_dd(self.spark)
 
-    def _join(self, inputs: List[DataFrame]) -> DataFrame:
-        """One telescoping term: the shared join tree, weights multiplied."""
+    def _expire(self, state: DataFrame, t_now: int) -> DataFrame:
+        return state
+
+    def _consolidate(self, df: DataFrame) -> DataFrame:
+        return _consolidate(df)
+
+    def _term(self, inputs: List[DataFrame]) -> DataFrame:
         si, sp = self.src_sel
         ti, tp = self.trg_sel
         w = reduce(operator.mul, [F.col(f"w{i}") for i in range(len(inputs))])
@@ -188,29 +178,6 @@ class DDJoinOp(PhysOp):
             F.lit(self.label).alias("label"),
             w.alias("w"),
         )
-
-    def _on_slide(self, t_now: int) -> DataFrame:
-        n = len(self.children)
-        deltas = [
-            c.process(t_now).localCheckpoint(eager=True) for c in self.children
-        ]
-        empty = [d.isEmpty() for d in deltas]
-        old = self.states
-        new = [
-            old[i] if empty[i] else _consolidate(old[i].unionByName(deltas[i]))
-            for i in range(n)
-        ]
-        out = _empty_dd(self.spark)
-        for i in range(n):
-            if empty[i]:
-                continue
-            inputs = [
-                new[j] if j < i else (deltas[j] if j == i else old[j])
-                for j in range(n)
-            ]
-            out = out.unionByName(self._join(inputs))
-        self.states = [s.localCheckpoint(eager=True) for s in new]
-        return _consolidate(out)
 
 
 def _step(nodes, steps) -> Set[Node]:
@@ -269,21 +236,17 @@ def dred_root(
     return _insert(facts, _step(root | facts, adds) - facts, new, bound)
 
 
-def _dred_group(pdf, start, finals, **steps):
-    """``dred_root`` over one root's facts and markers. (Without type
-    hints: ``applyInPandas`` would try to read a UDF type from them.)"""
-    x = int(pdf.x.iloc[0])
-    before = {
-        (v, s) for v, s in zip(pdf.v.tolist(), pdf.state.tolist()) if s != _MARKER
-    }
+def _dred_group(x, rows, start, finals, **steps):
+    """``dred_root`` as the grouped stage's kernel: one root's facts in; its
+    new facts (``w`` = 0) and the accepting facts that appeared (+1) or
+    vanished (−1) out."""
+    before = set(zip(rows.v.tolist(), rows.state.tolist()))
     after = dred_root(x, before, start, **steps)
     was = {n for n in before if n[1] in finals}
     now = {n for n in after if n[1] in finals}
-    rows = [(*n, 0) for n in after]
-    rows += [(*n, 1) for n in now - was] + [(*n, -1) for n in was - now]
-    out = pd.DataFrame(rows, columns=["v", "state", "w"])
-    out.insert(0, "x", x)
-    return out
+    out = [(*n, 0) for n in after]
+    out += [(*n, 1) for n in now - was] + [(*n, -1) for n in was - now]
+    return pd.DataFrame(out, columns=["v", "state", "w"])
 
 
 class DDPathOp(PhysOp):
@@ -291,11 +254,11 @@ class DDPathOp(PhysOp):
 
     The children's weighted deltas pass through the operator's own
     ``DDDistinctOp``, whose key set is the current edge set (``edges``).
-    Per slide, one grouped stage over ``facts`` plus a marker row per new
-    root runs ``dred_root`` per root, against step indexes of the edge
-    sets that the driver keeps. The output counts accepting product-graph
-    facts per ``(src, trg)``: a pair reached in two accepting states has
-    weight 2, and the sink's distinct makes it a set.
+    Per slide, the shared grouped stage over ``facts`` plus a marker row
+    per new root runs ``dred_root`` per root, against step indexes of the
+    edge sets that the driver keeps. The output counts accepting
+    product-graph facts per ``(src, trg)``: a pair reached in two accepting
+    states has weight 2, and the sink's distinct makes it a set.
     """
 
     def __init__(
@@ -316,13 +279,7 @@ class DDPathOp(PhysOp):
         self._window: Set[tuple] = set()
 
     def _on_slide(self, t_now: int) -> DataFrame:
-        labels = [str(l) for l in self.dfa.labels()]
-        delta = (
-            self.child.process(t_now)
-            .filter(F.col("label").isin(labels))
-            .select(*_KEY, "w")
-            .collect()
-        )
+        delta = collect_delta(self.child.process(t_now), self.dfa, [*_KEY, "w"])
         self.edges = self.child.current_keys()
         if not delta:
             return _empty_dd(self.spark)
@@ -338,24 +295,14 @@ class DDPathOp(PhysOp):
             "adds": index(adds),
             "new": index(self._window),
         }
-        start = self.dfa.start
-        markers = self.spark.createDataFrame(
-            [(x, x, _MARKER) for x, s in steps["adds"] if s == start], _FACT_SCHEMA
+        finals = frozenset(self.dfa.finals)
+        kernel = partial(_dred_group, start=self.dfa.start, finals=finals, **steps)
+        self.facts, changed = run_stage(self.facts, self.dfa, steps["adds"], kernel)
+        return _consolidate(
+            changed.select(
+                F.col("x").alias("src"),
+                F.col("v").alias("trg"),
+                F.lit(self.label).alias("label"),
+                "w",
+            )
         )
-        kernel = partial(
-            _dred_group, start=start, finals=frozenset(self.dfa.finals), **steps
-        )
-        out = (
-            self.facts.unionByName(markers)
-            .groupBy("x")
-            .applyInPandas(kernel, _STAGE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-        self.facts = out.filter(F.col("w") == 0).drop("w")
-        changed = out.filter(F.col("w") != 0).select(
-            F.col("x").alias("src"),
-            F.col("v").alias("trg"),
-            F.lit(self.label).alias("label"),
-            "w",
-        )
-        return _consolidate(changed)

@@ -11,14 +11,12 @@ where ``path`` materializes the witness edge sequence (so results return
 actual paths — R3; parent pointers are implicit in the materialized
 sequence).
 
-Δ-PATH is a forest of spanning trees, one per root, and a slide's work
-on one tree reads only that tree and the window's edges. So a slide is
-one grouped Spark stage: ``groupBy("x").applyInPandas`` over the index
-plus one marker row per new root (the source of an arriving edge that
-leaves the DFA's start state) runs ``spath_root`` per tree, in plain
-Python. The window's edges stay on the driver as coalesced intervals
-(Defs. 10–11, ``coalesce_intervals``), indexed by (vertex, state) with
-``algebra.step_index``, and ride into the stage with the function.
+Δ-PATH is a forest of spanning trees, one per root, so a slide is the
+per-root grouped stage shared with DRed (``path_stage.run_stage``), which
+runs ``spath_root`` per tree in plain Python. S-PATH's window is the
+window's edges on the driver as coalesced intervals (Defs. 10–11,
+``coalesce_intervals``), indexed by (vertex, state) with
+``algebra.step_index``.
 
 ``spath_root`` is Algorithm S-PATH lines 5–14 in synchronous rounds:
 arriving sgts seed the root and extend stored segments; each round merges
@@ -40,15 +38,16 @@ import pandas as pd
 from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, BooleanType, LongType, StructField, StructType
+from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core import model
 from repro.core.algebra import step_index
 from repro.core.coalesce import coalesce_intervals, coalesce_sgts
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, prune_valid
+from repro.dataflow.path_stage import collect_delta, run_stage
 
-# The grouped stage ships the kernels to Python workers by value, so the
+# The grouped stage ships the kernel to Python workers by value, so the
 # workers need not import this package.
 cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
@@ -62,15 +61,6 @@ _INDEX_SCHEMA = StructType(
         StructField("path", ArrayType(model.PATH_EDGE_TYPE), True),
     ]
 )
-
-#: The grouped stage's output: the new index (``result`` false) and the
-#: final-state segments inserted or extended this slide (``result`` true).
-_STAGE_SCHEMA = StructType(
-    _INDEX_SCHEMA.fields + [StructField("result", BooleanType(), False)]
-)
-
-#: A marker row's state: it names a new root and is no tree node.
-_MARKER = -1
 
 Node = Tuple[int, int]  # (vertex, DFA state)
 Segment = Tuple[int, int, tuple]  # (ts, exp, path of (src, trg, label))
@@ -134,26 +124,24 @@ def spath_root(
     raise RuntimeError(f"S-PATH from root {x} did not converge")
 
 
-def _spath_group(pdf, delta, steps, start, finals):
-    """``spath_root`` over one root's index rows and markers. (Without type
-    hints: ``applyInPandas`` would try to read a UDF type from them.)"""
-    x = int(pdf.x.iloc[0])
+def _spath_group(x, rows, delta, steps, start, finals):
+    """``spath_root`` as the grouped stage's kernel: one root's index rows
+    in; its new index (``w`` = 0) and the segments it emits (``w`` = 1)
+    out."""
     nodes = {
         (v, s): (ts, exp, tuple((e["src"], e["trg"], e["label"]) for e in path))
         for v, s, ts, exp, path in zip(
-            pdf.v.tolist(), pdf.state.tolist(), pdf.ts.tolist(),
-            pdf.exp.tolist(), pdf.path.tolist(),
+            rows.v.tolist(), rows.state.tolist(), rows.ts.tolist(),
+            rows.exp.tolist(), rows.path.tolist(),
         )
-        if s != _MARKER
     }
     results = spath_root(x, nodes, delta, steps, start, finals)
-    rows = [(*n, *seg, False) for n, seg in nodes.items()]
-    rows += [(*r, True) for r in results]
-    out = pd.DataFrame(rows, columns=["v", "state", "ts", "exp", "path", "result"])
+    out = [(*n, *seg, 0) for n, seg in nodes.items()]
+    out += [(*r, 1) for r in results]
+    out = pd.DataFrame(out, columns=["v", "state", "ts", "exp", "path", "w"])
     out["path"] = [
         [{"src": s, "trg": t, "label": l} for s, t, l in p] for p in out.path
     ]
-    out.insert(0, "x", x)
     return out
 
 
@@ -180,10 +168,7 @@ class SPathOp(PhysOp):
         delta = self.children[0].process(t_now)
         for c in self.children[1:]:
             delta = delta.unionByName(c.process(t_now))
-        labels = [str(l) for l in self.dfa.labels()]
-        rows = delta.filter(F.col("label").isin(labels)).select(
-            "src", "trg", "label", "ts", "exp"
-        ).collect()
+        rows = collect_delta(delta, self.dfa, ["src", "trg", "label", "ts", "exp"])
         arriving = coalesce_intervals(tuple(r) for r in rows)
 
         # Direct window maintenance: expired segments/edges just drop out.
@@ -195,32 +180,22 @@ class SPathOp(PhysOp):
         if not arriving:
             return model.empty_sgt(self.spark)
 
-        start = self.dfa.start
         delta_steps = step_index(self.dfa, arriving)
-        markers = self.spark.createDataFrame(
-            [(x, x, _MARKER, 0, 0, None) for x, s in delta_steps if s == start],
-            _INDEX_SCHEMA,
-        )
         kernel = partial(
             _spath_group,
             delta=delta_steps,
             steps=step_index(self.dfa, self._window),
-            start=start,
+            start=self.dfa.start,
             finals=frozenset(self.dfa.finals),
         )
-        out = (
-            self.index.unionByName(markers)
-            .groupBy("x")
-            .applyInPandas(kernel, _STAGE_SCHEMA)
-            .localCheckpoint(eager=True)
+        self.index, results = run_stage(self.index, self.dfa, delta_steps, kernel)
+        return coalesce_sgts(
+            results.select(
+                F.col("x").alias("src"),
+                F.col("v").alias("trg"),
+                F.lit(self.label).alias("label"),
+                "ts",
+                "exp",
+                "path",
+            )
         )
-        self.index = out.filter(~F.col("result")).drop("result")
-        results = out.filter(F.col("result")).select(
-            F.col("x").alias("src"),
-            F.col("v").alias("trg"),
-            F.lit(self.label).alias("label"),
-            "ts",
-            "exp",
-            "path",
-        )
-        return coalesce_sgts(results)

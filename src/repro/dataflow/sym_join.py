@@ -11,6 +11,10 @@ Expirations need no processing at all: every result sgt carries
 ``exp = min`` of its constituents' expiries (Def. 19), so results
 expire by themselves — the *internal window* behaviour the paper
 describes, with external-window eviction available by timestamp.
+
+``MultiJoinOp`` is also the negative-tuple baseline's join shell:
+``negtuple.DDJoinOp`` overrides only the hooks where expiry handling
+differs (empty state, expiry, consolidation, per-term projection).
 """
 from __future__ import annotations
 
@@ -42,9 +46,23 @@ class MultiJoinOp(PhysOp):
         self.src_sel = src_sel
         self.trg_sel = trg_sel
         self.label = label
-        self.states: List[DataFrame] = [
-            model.empty_sgt(spark) for _ in self.children
-        ]
+        self.states: List[DataFrame] = [self._empty() for _ in self.children]
+
+    # -- the hooks where expiry handling differs ----------------------------
+    def _empty(self) -> DataFrame:
+        return model.empty_sgt(self.spark)
+
+    def _expire(self, state: DataFrame, t_now: int) -> DataFrame:
+        """Direct expiration: expired sgts are located by their ``exp``."""
+        return prune_valid(state, t_now)
+
+    def _consolidate(self, df: DataFrame) -> DataFrame:
+        """Keep state and output set-semantic."""
+        return coalesce_sgts(df)
+
+    def _term(self, inputs: List[DataFrame]) -> DataFrame:
+        """One telescoping term: PATTERN with interval intersection."""
+        return join_pattern(inputs, self.phi, self.src_sel, self.trg_sel, self.label)
 
     def _on_slide(self, t_now: int) -> DataFrame:
         n = len(self.children)
@@ -52,12 +70,12 @@ class MultiJoinOp(PhysOp):
             c.process(t_now).localCheckpoint(eager=True) for c in self.children
         ]
         empty = [d.isEmpty() for d in deltas]
-        old = [prune_valid(s, t_now) for s in self.states]
+        old = [self._expire(s, t_now) for s in self.states]
         new = [
             o if empty[i] else o.unionByName(deltas[i]) for i, o in enumerate(old)
         ]
 
-        out = model.empty_sgt(self.spark)
+        out = self._empty()
         for i in range(n):
             if empty[i]:
                 continue
@@ -65,18 +83,13 @@ class MultiJoinOp(PhysOp):
                 new[j] if j < i else (deltas[j] if j == i else old[j])
                 for j in range(n)
             ]
-            term = join_pattern(
-                inputs,
-                self.phi,
-                self.src_sel,
-                self.trg_sel,
-                self.label,
-                do_coalesce=False,
-            )
-            out = out.unionByName(term)
+            out = out.unionByName(self._term(inputs))
 
-        # Persist the updated hash tables; coalesce keeps them set-semantic.
+        # Persist the updated hash tables. A state without a delta is the
+        # previous (consolidated) state less its expired rows: still
+        # consolidated.
         self.states = [
-            coalesce_sgts(s).localCheckpoint(eager=True) for s in new
+            (s if empty[i] else self._consolidate(s)).localCheckpoint(eager=True)
+            for i, s in enumerate(new)
         ]
-        return coalesce_sgts(out)
+        return self._consolidate(out)

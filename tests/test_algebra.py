@@ -5,6 +5,7 @@ checks, at several sampled times t, that the snapshot of the streaming
 result equals the one-time query over the window snapshot — Def. 13 is
 the *definition* of correctness for SGA.
 """
+import pandas as pd
 import pytest
 
 from repro.core import model
@@ -103,6 +104,16 @@ def test_path_on_cyclic_so_graph(spark_small):
     pdf = so_stream(n_edges=120, n_vertices=12, t_span=24, seed=5)
     plan = rpq_plan("a2q+", 10)
     check_plan(spark_small, plan, pdf, [6, 12, 20])
+
+
+def test_path_long_chain(spark_small):
+    """A 70-edge a+ chain needs 70 fixpoint rounds; the round bound comes
+    from the input (its product-graph steps), not a fixed limit."""
+    chain = pd.DataFrame(
+        [(i, i + 1, "a", 0) for i in range(70)],
+        columns=["src", "trg", "label", "ts"],
+    )
+    check_plan(spark_small, rpq_plan("a+", W), chain, [5])
 
 
 def test_q6_pattern_over_path(spark_small, pdf):

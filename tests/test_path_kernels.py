@@ -1,17 +1,21 @@
 """The per-root PATH kernels of both engines, run without Spark: S-PATH's
 ``spath_root`` on the paper's Example 9 (Fig. 5) and DRed's ``dred_root``
-against from-scratch product-graph reachability; and the driver-side
-coalesce against ``coalesce_sgts``."""
+against from-scratch product-graph reachability; the shared stage's group
+wrapper around either kernel; and the driver-side coalesce against
+``coalesce_sgts``."""
 from functools import partial
 
+import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algebra import step_index
 from repro.core.coalesce import coalesce_intervals, coalesce_sgts
 from repro.core.regex import compile_dfa
-from repro.dataflow.negtuple import _step, dred_root
-from repro.dataflow.spath import spath_root
+from repro.dataflow.negtuple import _dred_group, _step, dred_root
+from repro.dataflow.path_stage import MARKER, per_root
+from repro.dataflow.spath import _spath_group, spath_root
 
 # Vertex ids for readability (the paper uses letters).
 X, Y, U, V, S, Z, T = 1, 2, 3, 4, 5, 6, 7
@@ -113,6 +117,75 @@ def test_dred_root_matches_reachability(regex, windows):
             facts[x] = dred_root(x, facts[x], dfa.start, **steps)
             assert facts[x] == _reachable(dfa, x, steps["new"]), (x, new)
         old = new
+
+
+def _spath_stage(dfa, before, after):
+    """S-PATH's group kernel for a slide from window ``before`` to
+    ``after``, a state row maker and the state's columns."""
+    arriving = [e for e in after if e not in before]
+    kernel = partial(_spath_group, delta=step_index(dfa, arriving),
+                     steps=step_index(dfa, after), start=dfa.start,
+                     finals=frozenset(dfa.finals))
+
+    def row(x, v, state, path=()):
+        if state == MARKER:
+            return (x, v, state, 0, 0, None)
+        return (x, v, state, 0, 10, [{"src": s, "trg": t, "label": l}
+                                     for s, t, l in path])
+
+    return kernel, row, ["x", "v", "state", "ts", "exp", "path"]
+
+
+def _dred_stage(dfa, before, after):
+    """DRed's group kernel for the same slide, as for ``_spath_stage``."""
+    index = partial(step_index, dfa)
+    old, new = {e[:3] for e in before}, {e[:3] for e in after}
+    kernel = partial(_dred_group, start=dfa.start, finals=frozenset(dfa.finals),
+                     old=index(old), dels=index(old - new), mid=index(old & new),
+                     adds=index(new - old), new=index(new))
+    return kernel, lambda x, v, state, path=(): (x, v, state), ["x", "v", "state"]
+
+
+STAGES = pytest.mark.parametrize("stage", [_spath_stage, _dred_stage],
+                                 ids=["spath", "dred"])
+A_PLUS = compile_dfa("a+")
+(A_FINAL,) = A_PLUS.finals
+CHAIN = [(1, 2, "a", 0, 10), (2, 3, "a", 0, 10)]
+
+
+@STAGES
+def test_group_marker_only_root_has_no_state(stage):
+    """A root named only by its marker row reaches the kernel with no
+    state rows: with nothing arriving it keeps none and emits nothing."""
+    kernel, row, cols = stage(A_PLUS, CHAIN, CHAIN)
+    out = per_root(pd.DataFrame([row(1, 1, MARKER)], columns=cols), kernel)
+    assert len(out) == 0
+    assert list(out.columns) == cols + ["w"]
+
+
+@STAGES
+def test_group_state_round_trips_on_empty_delta(stage):
+    """With an empty delta the root's state rows come back unchanged
+    (``w`` = 0) and nothing is emitted; the marker row is dropped."""
+    kernel, row, cols = stage(A_PLUS, CHAIN, CHAIN)
+    state = [row(1, 2, A_FINAL, [(1, 2, "a")]),
+             row(1, 3, A_FINAL, [(1, 2, "a"), (2, 3, "a")])]
+    out = per_root(pd.DataFrame(state + [row(1, 1, MARKER)], columns=cols), kernel)
+    assert (out.w == 0).all()
+    expected = pd.DataFrame(state, columns=cols).to_dict("records")
+    assert sorted(map(repr, out.drop(columns="w").to_dict("records"))) == sorted(
+        map(repr, expected)
+    )
+
+
+@STAGES
+def test_group_restores_x(stage):
+    """A new root's state and output rows come back under its own ``x``."""
+    kernel, row, cols = stage(A_PLUS, CHAIN[:1], CHAIN)
+    out = per_root(pd.DataFrame([row(2, 2, MARKER)], columns=cols), kernel)
+    assert list(out.columns) == cols + ["w"]
+    assert out.x.tolist() == [2, 2]
+    assert sorted(zip(out.v, out.state, out.w)) == [(3, A_FINAL, 0), (3, A_FINAL, 1)]
 
 
 INTERVALS = st.lists(
