@@ -3,8 +3,15 @@ loop-caching plan (SGA) and the rewritten plans P1–P3 (transformation
 rules of §5.4), on the SO and LDBC streams.
 
 Usage:  spark-submit jobs/run_plan_space.py [--dataset so|ldbc] [--scale bench|test]
+                                            [--out results.json]
+
+Prints one line per plan and optionally writes the rows as JSON to
+``--out`` (``benchmarks/results/plan_space.json`` is what
+``jobs/render_experiments.py`` reads).
 """
 import argparse
+import json
+import sys
 
 from pyspark.sql import SparkSession
 
@@ -38,6 +45,7 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--dataset", default="so", choices=["so", "ldbc"])
     ap.add_argument("--scale", default="bench", choices=["bench", "test"])
+    ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     spark = (
         SparkSession.builder.appName("repro-plan-space")
@@ -46,9 +54,13 @@ def main(argv=None) -> None:
         .getOrCreate()
     )
     try:
-        run_plan_space(spark, args.dataset, args.scale)
+        rows = run_plan_space(spark, args.dataset, args.scale)
     finally:
         spark.stop()
+    if args.out:
+        with open(args.out, "w") as f:
+            json.dump(rows, f, indent=2)
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

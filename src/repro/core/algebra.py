@@ -8,23 +8,34 @@ result sgts with their validity intervals). By snapshot reducibility
 any time ``t`` must equal the one-time query over the input snapshot at
 ``t`` — which is exactly what the tests check against DuckDB.
 
-The incremental physical operators live in ``repro.dataflow``; this
-module is the ground truth they are validated against.
+Batch PATH runs on the driver: PATH's input is collected once, indexed
+by product-graph node (``step_index``), and ``pareto_root`` keeps, per
+root, the Pareto set of validity intervals of the walks reaching each
+node. The incremental physical operators live in ``repro.dataflow``;
+this module is the ground truth they are validated against, and S-PATH
+reuses its step index and its one-step extension (``extend``).
 """
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark import cloudpickle
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import model
-from repro.core.coalesce import coalesce_sgts, pareto_intervals
+from repro.core.coalesce import coalesce_sgts
 from repro.core.regex import DFA, compile_dfa
+
+# S-PATH's grouped stage ships ``extend`` to Python workers by value, so
+# the workers need not import this package.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 #: A position inside a PATTERN: (input index, "src" | "trg").
 Pos = Tuple[int, str]
@@ -243,9 +254,10 @@ def join_pattern(
 
 def step_index(dfa: DFA, edges: Iterable[tuple]) -> Dict[Tuple[int, int], list]:
     """The product graph's steps by node, built on the driver for the
-    per-root PATH kernels of both engines: ``(vertex, state)`` maps to the
-    ``(next state, edge)`` pairs leaving it, one per edge out of ``vertex``
-    whose label has a transition from ``state`` in ``dfa.table()``.
+    per-root PATH kernels (batch PATH's and both engines'): ``(vertex,
+    state)`` maps to the ``(next state, edge)`` pairs leaving it, one per
+    edge out of ``vertex`` whose label has a transition from ``state`` in
+    ``dfa.table()``.
 
     ``edges`` are tuples ``(src, trg, label, ...)``; whatever follows the
     label (S-PATH's ``ts, exp``) rides along in ``edge``.
@@ -260,102 +272,71 @@ def step_index(dfa: DFA, edges: Iterable[tuple]) -> Dict[Tuple[int, int], list]:
     return dict(index)
 
 
-def path_fixpoint(edges: DataFrame, dfa: DFA, label: str) -> DataFrame:
-    """Batch PATH: interval-aware semi-naive fixpoint over the (vertex ×
-    DFA-state) product graph.
+def extend(segments, steps) -> List[tuple]:
+    """One product-graph step of PATH (Def. 20), shared by the batch
+    kernel and S-PATH: extend each ``(node, (ts, exp, path))`` segment by
+    every step of ``steps`` (a ``step_index``) leaving its node,
+    intersecting the intervals and dropping segments whose interval is
+    empty."""
+    out = []
+    for node, (ts, exp, path) in segments:
+        for t, e in steps.get(node, ()):
+            lo, hi = max(ts, e[3]), min(exp, e[4])
+            if lo < hi:
+                out.append(((e[1], t), (lo, hi, path + (e[:3],))))
+    return out
 
-    A *step* is one (edge, DFA transition) pair; a *segment* is a row
-    ``(x, v, state, ts, exp, path)``: a walk from ``x`` to ``v`` driving
-    the DFA from its start state to ``state``, valid throughout
-    ``[ts, exp)`` (the intersection of its edges' intervals, Def. 20).
-    Dominated intervals are pruned per (x, v, state) so the loop
-    terminates on cyclic graphs; dominated facts cannot contribute any
-    snapshot a dominating fact does not already cover. A walk that visits
-    a product-graph node twice is dominated by its prefix up to the first
-    visit, so round *k* extends only walks of *k* distinct steps, and the
+
+def pareto_root(x: int, steps: dict, start: int) -> Dict[tuple, List[tuple]]:
+    """Batch PATH from root ``x``: each product-graph node ``(v, state)``
+    reached from ``(x, start)`` in one step or more maps to the Pareto set
+    of the intervals ``[ts, exp)`` of the walks reaching it (no interval
+    inside another), as segments ``(ts, exp, path)`` with a witness walk.
+
+    ``steps`` is the ``step_index`` of PATH's input, with edges
+    ``(src, trg, label, ts, exp)``. Each round extends only the segments
+    admitted in the previous one, in ``(ts asc, exp desc)`` order, so a
+    candidate is admitted iff no stored interval of its node contains it,
+    and then evicts the intervals it contains. Dominated walks cannot add
+    to any snapshot that their dominator does not cover. A walk that
+    visits a product-graph node twice is dominated by the walk without the
+    cycle, so round *k* admits only walks of *k* distinct steps, and the
     number of steps bounds the rounds.
     """
-    spark = SparkSession.getActiveSession()
-    # A never-matching row stands in for an empty transition table, which
-    # has no schema to infer.
-    trans = spark.createDataFrame(
-        dfa.table() or [(0, "\x00none", 0)], ["s", "l", "t"]
-    )
-    steps = (
-        edges.join(F.broadcast(trans), F.col("label") == F.col("l"))
-        .select(
-            F.col("s").alias("e_s"),
-            F.col("t").alias("e_t"),
-            F.col("src").alias("e_src"),
-            F.col("trg").alias("e_trg"),
-            F.col("ts").alias("e_ts"),
-            F.col("exp").alias("e_exp"),
-            F.array(F.struct("src", "trg", "label")).alias("e_path"),
-        )
-        .localCheckpoint(eager=True)
-    )
-    keys = ["x", "v", "state"]
-    seeds = steps.filter(F.col("e_s") == dfa.start).select(
-        F.col("e_src").alias("x"),
-        F.col("e_trg").alias("v"),
-        F.col("e_t").alias("state"),
-        F.col("e_ts").alias("ts"),
-        F.col("e_exp").alias("exp"),
-        F.col("e_path").alias("path"),
-    )
-    base = pareto_intervals(seeds, keys).localCheckpoint(eager=True)
-    acc, delta = base, base
-
-    bound = steps.count() + 1
+    front: Dict[tuple, List[tuple]] = defaultdict(list)
+    admitted = [((x, start), (-math.inf, math.inf, ()))]
+    bound = sum(map(len, steps.values())) + 1
     for _ in range(bound):
-        if delta.isEmpty():
-            break
-        extended = (
-            delta.join(
-                steps,
-                (F.col("v") == F.col("e_src")) & (F.col("state") == F.col("e_s")),
-            )
-            .select(
-                "x",
-                F.col("e_trg").alias("v"),
-                F.col("e_t").alias("state"),
-                F.greatest("ts", "e_ts").alias("ts"),
-                F.least("exp", "e_exp").alias("exp"),
-                F.concat("path", "e_path").alias("path"),
-            )
-            .filter(F.col("ts") < F.col("exp"))
-        )
-        dom = acc.select(
-            F.col("x").alias("d_x"),
-            F.col("v").alias("d_v"),
-            F.col("state").alias("d_state"),
-            F.col("ts").alias("d_ts"),
-            F.col("exp").alias("d_exp"),
-        )
-        new = pareto_intervals(extended, keys).join(
-            dom,
-            (F.col("x") == F.col("d_x"))
-            & (F.col("v") == F.col("d_v"))
-            & (F.col("state") == F.col("d_state"))
-            & (F.col("d_ts") <= F.col("ts"))
-            & (F.col("d_exp") >= F.col("exp")),
-            how="left_anti",
-        ).localCheckpoint(eager=True)
-        acc = pareto_intervals(acc.unionByName(new), keys).localCheckpoint(eager=True)
-        delta = new
-    else:
-        raise RuntimeError(f"PATH fixpoint did not converge in {bound} rounds")
+        cands = sorted(extend(admitted, steps), key=lambda c: (c[1][0], -c[1][1]))
+        admitted = []
+        for node, (ts, exp, path) in cands:
+            segs = front[node]
+            if any(s[0] <= ts and exp <= s[1] for s in segs):
+                continue
+            segs[:] = [s for s in segs if not (ts <= s[0] and s[1] <= exp)]
+            segs.append((ts, exp, path))
+            admitted.append((node, (ts, exp, path)))
+        if not admitted:
+            return dict(front)
+    raise RuntimeError(f"PATH from root {x} did not converge in {bound} rounds")
 
-    finals = [int(s) for s in dfa.finals]
-    out = acc.filter(F.col("state").isin(finals)).select(
-        F.col("x").alias("src"),
-        F.col("v").alias("trg"),
-        F.lit(label).alias("label"),
-        "ts",
-        "exp",
-        "path",
-    )
-    return coalesce_sgts(out)
+
+def path_fixpoint(edges: DataFrame, dfa: DFA, label: str) -> DataFrame:
+    """Batch PATH: PATH's input collected once and indexed by product-graph
+    node (``step_index``), ``pareto_root`` on the driver from every source
+    of a step out of the DFA's start state, and its final-state segments
+    as sgts, coalesced."""
+    rows = edges.select("src", "trg", "label", "ts", "exp").collect()
+    steps = step_index(dfa, (tuple(r) for r in rows))
+    out = [
+        (x, v, label, ts, exp, list(path))
+        for x, s in steps
+        if s == dfa.start
+        for (v, state), segs in pareto_root(x, steps, dfa.start).items()
+        if state in dfa.finals
+        for ts, exp, path in segs
+    ]
+    return coalesce_sgts(model.sgt_df(edges.sparkSession, out))
 
 
 def evaluate(node: SGANode, sources: Dict[str, DataFrame]) -> DataFrame:
@@ -388,7 +369,5 @@ def evaluate(node: SGANode, sources: Dict[str, DataFrame]) -> DataFrame:
         edges = dfs[0]
         for d in dfs[1:]:
             edges = edges.unionByName(d)
-        needed = node.dfa().labels() or set()
-        edges = edges.filter(F.col("label").isin([str(l) for l in needed]))
         return path_fixpoint(edges, node.dfa(), node.label)
     raise TypeError(f"unknown SGA node {node!r}")

@@ -7,11 +7,8 @@ constituent that expires furthest in the future (the ``max``-expiry
 aggregation S-PATH relies on, §6.2 fn. 11).
 
 ``coalesce_intervals`` is the same coalesce over rows on the driver,
-where S-PATH keeps its window adjacency.
-
-``pareto_intervals`` keeps, per key, only intervals not *dominated* by
-another (``ts' <= ts`` and ``exp' >= exp``) — the pruning that makes the
-batch PATH fixpoint terminate on cyclic graphs.
+where S-PATH keeps its window adjacency. (Batch PATH keeps Pareto sets
+of intervals instead, on the driver: ``algebra.pareto_root``.)
 """
 from __future__ import annotations
 
@@ -72,26 +69,3 @@ def coalesce_intervals(rows: Iterable[tuple]) -> List[tuple]:
         else:
             out.append(tuple(r))
     return out
-
-
-def pareto_intervals(df: DataFrame, keys: Sequence[str]) -> DataFrame:
-    """Keep only non-dominated intervals per key group.
-
-    Ordering a group by ``(ts asc, exp desc)``, a row is dominated iff some
-    earlier row's ``exp`` is >= its own (that row has ``ts' <= ts`` by the
-    sort, and exact duplicates sort earlier). A strict running-max check
-    over the preceding frame keeps exactly the Pareto frontier.
-    """
-    keys = list(keys)
-    w = Window.partitionBy(*keys).orderBy(
-        F.col("ts").asc(), F.col("exp").desc()
-    ).rowsBetween(Window.unboundedPreceding, -1)
-    return (
-        df.withColumn("_prev_max_exp", F.max("exp").over(w))
-        .filter(
-            F.col("_prev_max_exp").isNull()
-            | (F.col("exp") > F.col("_prev_max_exp"))
-        )
-        .drop("_prev_max_exp")
-    )
-

@@ -276,7 +276,7 @@ class DFA:
 
     def table(self) -> List[Tuple[int, str, int]]:
         """Transition table rows ``(state, label, next_state)`` — consumed by
-        both the Spark fixpoint and the DuckDB oracle SQL generator."""
+        ``algebra.step_index`` and the DuckDB oracle SQL generator."""
         return list(self.transitions)
 
 

@@ -141,13 +141,17 @@ class MicroBatchEngine:
         the window sliding (with empty batches) past the last arrival so
         pure-expiration slides are observable. ``on_slide`` runs after
         each slide (used by tests for oracle checks) and is *not*
-        included in the timed section.
+        included in the timed section. Raises ``ValueError`` unless the
+        plan's edges have non-negative integer ``ts``: the first batch is
+        ``[0, β)``, so an earlier edge would be dropped unseen.
         """
         if metrics is None:
             metrics = RunMetrics(system=self.mode, query="?", dataset="?")
         stream = stream[stream.label.isin(self.labels)].reset_index(drop=True)
         if len(stream) == 0:
             return metrics
+        if not pd.api.types.is_integer_dtype(stream.ts) or (stream.ts < 0).any():
+            raise ValueError("stream ts must be non-negative integers")
         old_parts = self.spark.conf.get("spark.sql.shuffle.partitions")
         self.spark.conf.set("spark.sql.shuffle.partitions", str(SHUFFLE_PARTITIONS))
         try:

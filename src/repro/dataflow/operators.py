@@ -106,12 +106,10 @@ class ResultState:
     def __init__(self, spark: SparkSession):
         self.spark = spark
         self.df = model.empty_sgt(spark)
-        self.emitted = 0
 
     def update(self, delta: DataFrame, t_now: int) -> int:
         delta = delta.localCheckpoint(eager=True)
         n = delta.count()
-        self.emitted += n
         # coalesce: unions of checkpointed states accumulate partitions
         # slide over slide; merging them keeps task-scheduling overhead flat.
         self.df = (

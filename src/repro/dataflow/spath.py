@@ -16,7 +16,10 @@ per-root grouped stage shared with DRed (``path_stage.run_stage``), which
 runs ``spath_root`` per tree in plain Python. S-PATH's window is the
 window's edges on the driver as coalesced intervals (Defs. 10–11,
 ``coalesce_intervals``), indexed by (vertex, state) with
-``algebra.step_index``.
+``algebra.step_index``; a segment grows by the Def. 20 step
+``algebra.extend``. The batch reference (``algebra.pareto_root``) uses
+the same index and step, but keeps a Pareto set of intervals per node
+rather than one max-expiry segment.
 
 ``spath_root`` is Algorithm S-PATH lines 5–14 in synchronous rounds:
 arriving sgts seed the root and extend stored segments; each round merges
@@ -41,7 +44,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core import model
-from repro.core.algebra import step_index
+from repro.core.algebra import extend, step_index
 from repro.core.coalesce import coalesce_intervals, coalesce_sgts
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, prune_valid
@@ -64,18 +67,6 @@ _INDEX_SCHEMA = StructType(
 
 Node = Tuple[int, int]  # (vertex, DFA state)
 Segment = Tuple[int, int, tuple]  # (ts, exp, path of (src, trg, label))
-
-
-def _extend(segments, steps) -> List[tuple]:
-    """Extend segments by one compatible step, intersecting intervals
-    (Def. 20) and dropping segments whose interval is empty."""
-    out = []
-    for node, (ts, exp, path) in segments:
-        for t, e in steps.get(node, ()):
-            lo, hi = max(ts, e[3]), min(exp, e[4])
-            if lo < hi:
-                out.append(((e[1], t), (lo, hi, path + (e[:3],))))
-    return out
 
 
 def spath_root(
@@ -101,8 +92,8 @@ def spath_root(
     expiries, so the rounds are bounded by nodes × expiries.
     """
     # Seeds (line 7) are the one-step extensions of the empty walk at x.
-    cands = _extend([((x, start), (-math.inf, math.inf, ()))], delta)
-    cands += _extend(nodes.items(), delta)
+    cands = extend([((x, start), (-math.inf, math.inf, ()))], delta)
+    cands += extend(nodes.items(), delta)
     reached = {(e[1], t) for out in steps.values() for t, e in out}
     expiries = {e[4] for out in steps.values() for _, e in out}
     results: List[tuple] = []
@@ -120,7 +111,7 @@ def spath_root(
             return results
         nodes.update(changed)
         results += [(*n, *seg) for n, seg in changed.items() if n[1] in finals]
-        cands = _extend(changed.items(), steps)
+        cands = extend(changed.items(), steps)
     raise RuntimeError(f"S-PATH from root {x} did not converge")
 
 

@@ -145,22 +145,6 @@ def test_q7_full_nesting(spark_small):
     check_plan(spark_small, plan, pdf, [4, 9, 15])
 
 
-def test_path_payload_is_real_path(spark_small, pdf, sources):
-    """Payloads must be actual paths: consecutive edges connect, labels form
-    a word of the regex language, and endpoints match the sgt (R3)."""
-    from repro.core.regex import compile_dfa
-
-    out = evaluate(rpq_plan("a . b*", W), sources).collect()
-    dfa = compile_dfa("a . b*")
-    assert out, "expected at least one path result"
-    for row in out:
-        edges = [tuple(e) for e in row.path]
-        assert edges[0][0] == row.src and edges[-1][1] == row.trg
-        for (s1, t1, l1), (s2, t2, l2) in zip(edges, edges[1:]):
-            assert t1 == s2, "path edges must be consecutive"
-        assert dfa.accepts([e[2] for e in edges])
-
-
 def test_pattern_payload_is_derived_edge(spark_small, sources):
     plan = Pattern(
         [Wscan("a", W), Wscan("b", W)],

@@ -1,10 +1,9 @@
-"""Coalesce primitive (Defs. 10–11) and Pareto-interval pruning tests."""
-import pandas as pd
+"""Coalesce primitive tests (Defs. 10–11)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import model
-from repro.core.coalesce import coalesce_sgts, pareto_intervals
+from repro.core.coalesce import coalesce_sgts
 
 
 def rows_of(df):
@@ -83,49 +82,3 @@ def test_coalesce_covers_same_instants(spark_small, intervals):
     out.sort()
     for (ts1, e1), (ts2, _) in zip(out, out[1:]):
         assert e1 < ts2  # disjoint and non-adjacent
-
-
-def test_pareto_drops_dominated(spark_small):
-    pdf = pd.DataFrame(
-        {
-            "x": [1, 1, 1, 1],
-            "v": [2, 2, 2, 2],
-            "state": [0, 0, 0, 0],
-            "ts": [0, 2, 0, 5],
-            "exp": [10, 8, 10, 12],
-        }
-    )
-    df = spark_small.createDataFrame(pdf)
-    out = sorted((r.ts, r.exp) for r in pareto_intervals(df, ["x", "v", "state"]).collect())
-    # (2,8) dominated by (0,10); duplicate (0,10) removed; (5,12) survives.
-    assert out == [(0, 10), (5, 12)]
-
-
-def test_pareto_keeps_incomparable(spark_small):
-    pdf = pd.DataFrame(
-        {"k": [1, 1, 1], "ts": [0, 3, 6], "exp": [5, 8, 11]}
-    )
-    out = pareto_intervals(spark_small.createDataFrame(pdf), ["k"])
-    assert out.count() == 3
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 15), st.integers(1, 8)), min_size=1, max_size=8
-    )
-)
-def test_pareto_preserves_coverage(spark_small, intervals):
-    """Pruned set must cover exactly the same time instants (domination
-    never removes coverage) and contain no dominated pair."""
-    pdf = pd.DataFrame(
-        {"k": 1, "ts": [a for a, _ in intervals], "exp": [a + d for a, d in intervals]}
-    )
-    out = [(r.ts, r.exp) for r in pareto_intervals(spark_small.createDataFrame(pdf), ["k"]).collect()]
-    cov_in = {t for a, d in intervals for t in range(a, a + d)}
-    cov_out = {t for a, b in out for t in range(a, b)}
-    assert cov_in == cov_out
-    for i, (a1, b1) in enumerate(out):
-        for j, (a2, b2) in enumerate(out):
-            if i != j:
-                assert not (a1 <= a2 and b1 >= b2), (out, "dominated pair survived")

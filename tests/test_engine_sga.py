@@ -4,6 +4,7 @@ After every window movement, the engine's current answer set must equal
 the one-time query over the current window snapshot (Def. 13 applied at
 the watermark) — for every query shape of Table 1.
 """
+import pandas as pd
 import pytest
 
 from repro.core.duck_oracle import sga_snapshot_sql
@@ -124,6 +125,17 @@ def test_engine_rejects_mixed_windows(spark_small):
 
     with pytest.raises(ValueError):
         MicroBatchEngine(spark_small, Union([Wscan("a", 5), Wscan("b", 7)]))
+
+
+@pytest.mark.parametrize("ts", [-1, 0.5])
+def test_engine_rejects_negative_or_fractional_ts(spark_small, ts):
+    """The first batch is [0, β): an edge before 0 used to be dropped
+    unseen, and a fractional ts is outside the input contract too."""
+    stream = pd.DataFrame(
+        [(1, 2, "a", ts), (2, 3, "a", 1)], columns=["src", "trg", "label", "ts"]
+    )
+    with pytest.raises(ValueError, match="non-negative integers"):
+        MicroBatchEngine(spark_small, rpq_plan("a+", W, BETA)).run(stream)
 
 
 def test_engine_rejects_bad_mode(spark_small):

@@ -77,11 +77,10 @@ def test_result_state_accumulates_and_expires(spark_small):
     rs = ResultState(spark_small)
     n = rs.update(model.sgt_df(spark_small, [(1, 2, "a", 0, 5)]), t_now=0)
     assert n == 1 and rs.current_pairs(0) == [(1, 2)]
-    rs.update(model.sgt_df(spark_small, [(3, 4, "a", 4, 9)]), t_now=4)
+    assert rs.update(model.sgt_df(spark_small, [(3, 4, "a", 4, 9)]), t_now=4) == 1
     assert sorted(rs.current_pairs(4)) == [(1, 2), (3, 4)]
-    rs.update(model.empty_sgt(spark_small), t_now=6)
+    assert rs.update(model.empty_sgt(spark_small), t_now=6) == 0
     assert rs.current_pairs(6) == [(3, 4)]
-    assert rs.emitted == 2
 
 
 def test_dd_source_emits_negative_tuples(spark_small):

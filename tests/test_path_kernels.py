@@ -1,8 +1,8 @@
-"""The per-root PATH kernels of both engines, run without Spark: S-PATH's
-``spath_root`` on the paper's Example 9 (Fig. 5) and DRed's ``dred_root``
-against from-scratch product-graph reachability; the shared stage's group
-wrapper around either kernel; and the driver-side coalesce against
-``coalesce_sgts``."""
+"""The per-root PATH kernels, run without Spark: S-PATH's ``spath_root``
+on the paper's Example 9 (Fig. 5), and DRed's ``dred_root`` and batch
+PATH's ``pareto_root`` against from-scratch product-graph reachability;
+the shared stage's group wrapper around either engine's kernel; and the
+driver-side coalesce against ``coalesce_sgts``."""
 from functools import partial
 
 import pandas as pd
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algebra import step_index
+from repro.core.algebra import pareto_root, step_index
 from repro.core.coalesce import coalesce_intervals, coalesce_sgts
 from repro.core.regex import compile_dfa
 from repro.dataflow.negtuple import _dred_group, _step, dred_root
@@ -96,9 +96,12 @@ EDGES = st.tuples(
 )
 
 
+REGEXES = st.sampled_from(["a+", "a . b*", "(a . b)+", "(a | b)* . b", "a*"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    regex=st.sampled_from(["a+", "a . b*", "(a . b)+", "(a | b)* . b", "a*"]),
+    regex=REGEXES,
     windows=st.lists(st.sets(EDGES, max_size=12), min_size=1, max_size=5),
 )
 def test_dred_root_matches_reachability(regex, windows):
@@ -117,6 +120,63 @@ def test_dred_root_matches_reachability(regex, windows):
             facts[x] = dred_root(x, facts[x], dfa.start, **steps)
             assert facts[x] == _reachable(dfa, x, steps["new"]), (x, new)
         old = new
+
+
+def test_pareto_root_keeps_incomparable_intervals():
+    """Walks to v valid during [0, 5) and [3, 10) are both kept: a batch
+    result holds at every instant, so S-PATH's one max-expiry segment
+    would lose [0, 3). A walk valid during [2, 4), inside [0, 5), is not
+    kept, and a later round's [0, 10) at s evicts the stored [4, 6)."""
+    dfa = compile_dfa("a+")
+    (final,) = dfa.finals
+    xv, xy, yv = (X, V, "a", 0, 5), (X, Y, "a", 3, 10), (Y, V, "a", 3, 12)
+    xz, zv = (X, Z, "a", 0, 9), (Z, V, "a", 2, 4)
+    xs, xu, us = (X, S, "a", 4, 6), (X, U, "a", 0, 10), (U, S, "a", 0, 10)
+    steps = step_index(dfa, [xv, xy, yv, xz, zv, xs, xu, us])
+    front = pareto_root(X, steps, dfa.start)
+    assert sorted(front[(V, final)]) == [(0, 5, walk(xv)), (3, 10, walk(xy, yv))]
+    assert front[(S, final)] == [(0, 10, walk(xu, us))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    regex=REGEXES,
+    edges=st.sets(
+        st.tuples(
+            st.sampled_from(VERTICES), st.sampled_from(VERTICES),
+            st.sampled_from("ab"), st.integers(0, 8), st.integers(1, 6),
+        ),
+        max_size=12,
+    ),
+)
+def test_pareto_root_matches_snapshot_reachability(regex, edges):
+    """Random interval graphs with cycles and self-loops: at every ``t``,
+    the nodes holding an interval that contains ``t`` are exactly those
+    reachable over the snapshot's edges. No stored interval contains
+    another, and each witness is a walk from the root, over edges valid
+    throughout its interval, that drives the DFA to its node's state."""
+    dfa = compile_dfa(regex)
+    edges = [(s, t, l, ts, ts + d) for s, t, l, ts, d in edges]
+    delta = dfa.delta()
+    for x in VERTICES:
+        front = pareto_root(x, step_index(dfa, edges), dfa.start)
+        for (v, state), segs in front.items():
+            for i, (ts, exp, path) in enumerate(segs):
+                assert not any(o[0] <= ts and exp <= o[1]
+                               for j, o in enumerate(segs) if j != i), segs
+                assert path[0][0] == x and path[-1][1] == v, path
+                assert all(a[1] == b[0] for a, b in zip(path, path[1:])), path
+                assert all(any(e[:3] == p and e[3] <= ts and exp <= e[4]
+                               for e in edges) for p in path), (path, ts, exp)
+                reached = dfa.start
+                for p in path:
+                    reached = delta[(reached, p[2])]
+                assert reached == state, path
+        for t in range(15):
+            snapshot = step_index(dfa, [e[:3] for e in edges if e[3] <= t < e[4]])
+            at_t = {n for n, segs in front.items()
+                    if any(ts <= t < exp for ts, exp, _ in segs)}
+            assert at_t == _reachable(dfa, x, snapshot), (x, t)
 
 
 def _spath_stage(dfa, before, after):

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import pandas as pd
 
 from repro.core import model
-from repro.core.algebra import SGANode, evaluate
+from repro.core.algebra import Path, SGANode, evaluate
 from repro.core.duck_oracle import sga_snapshot_sql
 from repro.oracle import assert_equivalent
 
@@ -30,17 +30,26 @@ def check_plan(
     plan: SGANode,
     pdf: pd.DataFrame,
     times: Sequence[int],
-    out=None,
 ) -> None:
-    if out is None:
-        out = evaluate(plan, sources_by_label(spark, pdf))
-    out = out.localCheckpoint(eager=True)
+    out = evaluate(plan, sources_by_label(spark, pdf)).localCheckpoint(eager=True)
+    check_witnesses(plan, out.collect())
     for t in times:
         assert_equivalent(
             model.snapshot(out, t),
             sga_snapshot_sql(plan, t),
             stream=pdf,
         )
+
+
+def check_witnesses(plan: SGANode, rows) -> None:
+    """Every sgt's ``path`` is a non-empty walk from ``src`` to ``trg``; under
+    a PATH root, its labels are a word of the root's regex."""
+    for r in rows:
+        walk = [tuple(e) for e in r.path]
+        assert walk and walk[0][0] == r.src and walk[-1][1] == r.trg, r
+        assert all(a[1] == b[0] for a, b in zip(walk, walk[1:])), r
+        if isinstance(plan, Path):
+            assert plan.dfa().accepts([e[2] for e in walk]), r
 
 
 def check_result_set(result_pairs: Iterable, sql: str, pdf: pd.DataFrame) -> None:
