@@ -16,20 +16,30 @@ The payload edge struct carries only the distinguished attributes, as in
 the paper's examples (e.g. Fig. 3: a PATTERN result's payload is the
 derived edge, a PATH result's payload is the sequence of traversed
 edges).
+
+Every DataFrame the driver builds from its own rows goes through
+``local_df``, which hands Spark a ``pyarrow.Table``. Spark plans it as a
+JVM ``LocalTableScan``. A frame built from a Python list (or from pandas
+with Arrow off) is instead a pickled Python RDD of ``defaultParallelism``
+partitions, and every scan of it starts that many Python worker tasks,
+even when it is empty.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     ArrayType,
     LongType,
     StringType,
     StructField,
     StructType,
+    _make_type_verifier,
 )
 
 #: Schema of a payload edge (an element of the payload sequence D).
@@ -67,12 +77,38 @@ SGT_SCHEMA = StructType(
 SGT_COLS = ["src", "trg", "label", "ts", "exp", "path"]
 
 
+def local_df(
+    spark: SparkSession, rows: Iterable[Sequence] | pd.DataFrame, schema: StructType
+) -> DataFrame:
+    """A DataFrame of driver-held ``rows`` (tuples in ``schema``'s column
+    order, or a pandas frame holding at least its columns), built as a
+    ``pyarrow.Table`` so that Spark scans it in the JVM (``LocalTableScan``).
+
+    The checks of ``createDataFrame(list, verifySchema=True)`` still hold:
+    a value of the wrong type raises, and so does (``ValueError``) a null
+    in a non-nullable field. ``pyarrow.Table.from_pandas`` checks both for
+    pandas columns. Tuples go through Spark's own row verifier, because
+    ``pa.array`` checks neither ``nullable=False`` nor fractions (it
+    truncates a float into a long column without a word).
+    """
+    arrow = to_arrow_schema(schema)
+    if isinstance(rows, pd.DataFrame):
+        table = pa.Table.from_pandas(rows, schema=arrow, preserve_index=False)
+    else:
+        rows = list(rows)
+        verify = _make_type_verifier(schema)
+        for r in rows:
+            verify(r)
+        table = pa.Table.from_arrays(
+            [pa.array([r[i] for r in rows], type=f.type) for i, f in enumerate(arrow)],
+            schema=arrow,
+        )
+    return spark.createDataFrame(table, schema)
+
+
 def sge_df(spark: SparkSession, rows: Iterable[Sequence] | pd.DataFrame) -> DataFrame:
     """Build an input-graph-stream DataFrame from ``(src, trg, label, ts)`` rows."""
-    if isinstance(rows, pd.DataFrame):
-        pdf = rows[["src", "trg", "label", "ts"]]
-        return spark.createDataFrame(pdf, schema=SGE_SCHEMA)
-    return spark.createDataFrame(list(rows), schema=SGE_SCHEMA)
+    return local_df(spark, rows, SGE_SCHEMA)
 
 
 def sgt_df(spark: SparkSession, rows: Iterable[Sequence]) -> DataFrame:
@@ -81,18 +117,13 @@ def sgt_df(spark: SparkSession, rows: Iterable[Sequence]) -> DataFrame:
     When ``path`` is omitted the payload defaults to the tuple's own edge,
     matching Def. 7 for input edges.
     """
-    out = []
-    for r in rows:
-        r = list(r)
-        if len(r) == 5:
-            r.append([(r[0], r[1], r[2])])
-        out.append(tuple(r))
-    return spark.createDataFrame(out, schema=SGT_SCHEMA)
+    rows = (tuple(r) + ([tuple(r[:3])],) if len(r) == 5 else r for r in rows)
+    return local_df(spark, rows, SGT_SCHEMA)
 
 
 def empty_sgt(spark: SparkSession) -> DataFrame:
     """An empty streaming graph."""
-    return spark.createDataFrame([], schema=SGT_SCHEMA)
+    return local_df(spark, [], SGT_SCHEMA)
 
 
 def wscan(edges: DataFrame, size: int, slide: int = 1) -> DataFrame:

@@ -17,10 +17,14 @@ over Spark DataFrames:
   operators pass bags of weighted deltas; a ``DDDistinctOp`` makes them
   a set only at each PATH's input and at the sink (``result_counts``);
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
-  (slide interval β = input batch size, as in §7.1.2), timing each
-  window movement end-to-end — arriving sgts, expirations, and result
-  production — to report throughput and tail latency like the paper's
-  Table 2.
+  (slide interval β = input batch size, as in §7.1.2), from the slide
+  that holds the first edge, timing each window movement end-to-end —
+  arriving sgts, expirations, and result production — to report
+  throughput and tail latency like the paper's Table 2.
+
+Every frame the driver builds (a source's batch, an empty state, PATH's
+marker rows) is a JVM local relation (``model.local_df``), so the only
+per-slide Spark job that starts Python workers is PATH's grouped stage.
 
 Timely's progress tracking is replaced by the driver's watermark
 ``t_now``: a slide's batch is fully delivered to every source before the
@@ -137,13 +141,14 @@ class MicroBatchEngine:
 
         After the batch for boundary ``B`` is processed, the engine's time
         is ``t_now = B − 1`` (the last instant for which all input has
-        arrived); expirations are evaluated against it. ``until`` keeps
+        arrived); expirations are evaluated against it. The first slide is
+        the one that holds the first edge (the window is empty before it),
+        so the first boundary is ``(min ts // β + 1) · β``. ``until`` keeps
         the window sliding (with empty batches) past the last arrival so
         pure-expiration slides are observable. ``on_slide`` runs after
         each slide (used by tests for oracle checks) and is *not*
         included in the timed section. Raises ``ValueError`` unless the
-        plan's edges have non-negative integer ``ts``: the first batch is
-        ``[0, β)``, so an earlier edge would be dropped unseen.
+        plan's edges have non-negative integer ``ts``.
         """
         if metrics is None:
             metrics = RunMetrics(system=self.mode, query="?", dataset="?")
@@ -159,7 +164,7 @@ class MicroBatchEngine:
             t_max = int(stream.ts.max())
             if until is not None:
                 t_max = max(t_max, until - beta)
-            boundary = beta
+            boundary = (int(stream.ts.min()) // beta + 1) * beta
             while boundary <= t_max + beta:
                 batch = stream[
                     (stream.ts >= boundary - beta) & (stream.ts < boundary)

@@ -84,7 +84,7 @@ Node = Tuple[int, int]  # (vertex, DFA state)
 
 
 def _empty_dd(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], DD_SCHEMA)
+    return model.local_df(spark, [], DD_SCHEMA)
 
 
 def _consolidate(df: DataFrame) -> DataFrame:
@@ -272,15 +272,18 @@ class DDPathOp(PhysOp):
         self.child = DDDistinctOp(spark, UnionOp(spark, children, None))
         self.label = label
         self.dfa = compile_dfa(regex)
-        self.edges: DataFrame = self.child.current_keys()
-        self.facts: DataFrame = spark.createDataFrame([], _FACT_SCHEMA)
+        self.facts: DataFrame = model.local_df(spark, [], _FACT_SCHEMA)
         # The edge set (src, trg, label) of the PATH's labels, kept up to
         # date from the distinct's set-level changes.
         self._window: Set[tuple] = set()
 
+    @property
+    def edges(self) -> DataFrame:
+        """The current edge set: the input distinct's keys."""
+        return self.child.current_keys()
+
     def _on_slide(self, t_now: int) -> DataFrame:
         delta = collect_delta(self.child.process(t_now), self.dfa, [*_KEY, "w"])
-        self.edges = self.child.current_keys()
         if not delta:
             return _empty_dd(self.spark)
         adds = {tuple(r[:3]) for r in delta if r.w > 0}

@@ -6,6 +6,11 @@ product-graph facts ``(x, v, state)`` depend only on their root and the
 window's edges. So S-PATH and DRed each run a slide as one grouped stage
 over their state; they differ only in the window adjacency they keep on
 the driver, the per-root kernel and the output projection.
+
+The stage is the only per-slide Spark job that runs Python: the marker
+rows are a JVM local relation (``model.local_df``), and only ``per_root``
+and the kernel are shipped to the workers, so this module may import
+the package.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from pyspark.sql import DataFrame, Row
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.core import model
 from repro.core.regex import DFA
 
 # The stage ships the group wrapper to Python workers by value, so the
@@ -59,8 +65,10 @@ def run_stage(
     (``w`` = 0) and its output rows (``w`` ≠ 0)."""
     schema = state.schema
     pad = tuple(None if f.nullable else 0 for f in schema.fields[3:])
-    markers = state.sparkSession.createDataFrame(
-        [(x, x, MARKER) + pad for x, s in arriving if s == dfa.start], schema
+    markers = model.local_df(
+        state.sparkSession,
+        [(x, x, MARKER) + pad for x, s in arriving if s == dfa.start],
+        schema,
     )
     out = (
         state.unionByName(markers)

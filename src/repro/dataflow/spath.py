@@ -150,10 +150,14 @@ class SPathOp(PhysOp):
         self.children = list(children)
         self.label = label
         self.dfa = compile_dfa(regex)
-        self.index: DataFrame = spark.createDataFrame([], _INDEX_SCHEMA)
-        self.edges: DataFrame = model.empty_sgt(spark)
+        self.index: DataFrame = model.local_df(spark, [], _INDEX_SCHEMA)
         # The window's edges (src, trg, label, ts, exp), coalesced per key.
         self._window: List[tuple] = []
+
+    @property
+    def edges(self) -> DataFrame:
+        """The window's edges as an sgt DataFrame, built on access."""
+        return model.sgt_df(self.spark, self._window)
 
     def _on_slide(self, t_now: int) -> DataFrame:
         delta = self.children[0].process(t_now)
@@ -167,7 +171,6 @@ class SPathOp(PhysOp):
         self._window = coalesce_intervals(
             [e for e in self._window if e[4] > t_now] + arriving
         )
-        self.edges = model.sgt_df(self.spark, self._window)
         if not arriving:
             return model.empty_sgt(self.spark)
 

@@ -66,10 +66,13 @@ class MultiJoinOp(PhysOp):
 
     def _on_slide(self, t_now: int) -> DataFrame:
         n = len(self.children)
-        deltas = [
-            c.process(t_now).localCheckpoint(eager=True) for c in self.children
-        ]
-        empty = [d.isEmpty() for d in deltas]
+        # A self-join repeats a child: checkpoint its delta once.
+        seen = {}
+        for c in self.children:
+            if id(c) not in seen:
+                d = c.process(t_now).localCheckpoint(eager=True)
+                seen[id(c)] = (d, d.isEmpty())
+        deltas, empty = zip(*(seen[id(c)] for c in self.children))
         old = [self._expire(s, t_now) for s in self.states]
         new = [
             o if empty[i] else o.unionByName(deltas[i]) for i, o in enumerate(old)

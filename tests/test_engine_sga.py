@@ -129,13 +129,32 @@ def test_engine_rejects_mixed_windows(spark_small):
 
 @pytest.mark.parametrize("ts", [-1, 0.5])
 def test_engine_rejects_negative_or_fractional_ts(spark_small, ts):
-    """The first batch is [0, β): an edge before 0 used to be dropped
-    unseen, and a fractional ts is outside the input contract too."""
+    """Negative and fractional ts are outside the input contract."""
     stream = pd.DataFrame(
         [(1, 2, "a", ts), (2, 3, "a", 1)], columns=["src", "trg", "label", "ts"]
     )
     with pytest.raises(ValueError, match="non-negative integers"):
         MicroBatchEngine(spark_small, rpq_plan("a+", W, BETA)).run(stream)
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+def test_engine_starts_at_the_first_edges_slide(spark_small, mode):
+    """Slides before the first edge would see an empty window: the first
+    slide is the one holding the first edge, and ``until`` still ends the
+    run at the same slide."""
+    plan = rpq_plan("a+", 4, 1)
+    pdf = pd.DataFrame(
+        [(1, 2, "a", 13), (2, 3, "a", 14), (3, 1, "a", 15)],
+        columns=["src", "trg", "label", "ts"],
+    )
+    seen = []
+
+    def on_slide(eng, t_now):
+        check_result_set(eng.current_pairs(), pairs_sql(plan, t_now), pdf)
+        seen.append(t_now)
+
+    MicroBatchEngine(spark_small, plan, mode=mode).run(pdf, on_slide=on_slide, until=20)
+    assert seen == list(range(13, 20))
 
 
 def test_engine_rejects_bad_mode(spark_small):
