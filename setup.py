@@ -1,9 +1,10 @@
-"""Legacy setup shim.
+"""Legacy setup shim for offline installs.
 
-The container has no network, so pip cannot fetch the ``wheel`` package
-that PEP-517 editable installs require. With this file present,
-``pip install -e . --no-build-isolation`` (or ``--no-use-pep517``) falls
-back to ``setup.py develop``, which needs only setuptools.
+Without network access pip cannot fetch the ``wheel`` package that its
+editable installs need, and ``pip install -e . --no-build-isolation``
+fails with ``invalid command 'bdist_wheel'``. This file lets
+``python setup.py develop --no-deps`` install the package in place with
+setuptools alone.
 """
 from setuptools import setup
 

@@ -7,21 +7,33 @@ constituent that expires furthest in the future (the ``max``-expiry
 aggregation S-PATH relies on, §6.2 fn. 11).
 
 ``coalesce_intervals`` is the same coalesce over rows on the driver,
-where S-PATH keeps its window adjacency. (Batch PATH keeps Pareto sets
-of intervals instead, on the driver: ``algebra.pareto_root``.)
+where S-PATH keeps its window adjacency and coalesces each root's
+results. (Batch PATH keeps Pareto sets of intervals instead, on the
+driver: ``algebra.pareto_root``.)
 """
 from __future__ import annotations
 
+import sys
 from typing import Iterable, List, Sequence
 
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
+
+# S-PATH's grouped stage ships ``coalesce_intervals`` to Python workers by
+# value, so the workers need not import this package.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 _KEYS = ("src", "trg", "label")
 
 
 def coalesce_sgts(df: DataFrame, keys: Sequence[str] = _KEYS) -> DataFrame:
     """Temporal coalescing: merge overlapping/adjacent intervals per key.
+
+    In the package, only the batch reference ``algebra.evaluate`` calls
+    it. The streaming operators never pay this shuffle: they make a set
+    only where one is needed, on the driver or inside PATH's grouped
+    stage.
 
     Classic gaps-and-islands with window functions: within a key group
     ordered by ``ts``, a row starts a new island iff its ``ts`` is strictly

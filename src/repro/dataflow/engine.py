@@ -13,9 +13,11 @@ over Spark DataFrames:
   PATH's per-root grouped stage (``path_stage.run_stage``: Δ-PATH trees
   and DRed's product-graph facts depend only on their root and the
   window's edges), and differ only where expiry handling does: pruning
-  by ``exp`` vs −1 tuples, S-PATH's vs DRed's per-root kernel. DD
-  operators pass bags of weighted deltas; a ``DDDistinctOp`` makes them
-  a set only at each PATH's input and at the sink (``result_counts``);
+  by ``exp`` vs −1 tuples, S-PATH's vs DRed's per-root kernel. Both
+  modes pass bags and make a set only where one is observed: PATH's
+  grouped stage coalesces (SGA) or sums (DD) each root's output, and
+  DD's ``DDDistinctOp`` runs at each PATH's input and at the sink
+  (``result_counts``), SGA's ``ResultState`` at the sink;
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), from the slide
   that holds the first edge, timing each window movement end-to-end —

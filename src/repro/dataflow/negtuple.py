@@ -13,14 +13,15 @@ shared with it:
   *negative tuples* on expiry;
 * PATTERN is the direct engine's telescoping symmetric join
   (``sym_join.MultiJoinOp``) with negative-tuple expiry: states are not
-  pruned by ``exp``, they are consolidated by weight, and a term is the
-  shared left-deep join tree (``algebra.join_phi``) with its inputs'
-  weights multiplied;
-* ``DDDistinctOp`` keeps multiplicities and emits set-level changes;
-  as in Differential Dataflow it runs only where a set is needed: at
-  each PATH's input (DRed's edge set) and at the sink. Elsewhere a key's
-  weight counts its derivations (WSCAN, UNION and the join are exact on
-  bags);
+  pruned by ``exp``, they are consolidated by weight so that a −1 cancels
+  its +1, and a term is the shared left-deep join tree
+  (``algebra.join_phi``) with its inputs' weights multiplied. Its output
+  is a bag of weighted deltas, not consolidated;
+* ``DDDistinctOp`` keeps multiplicities and emits set-level changes in
+  one grouped, checkpointed pass; as in Differential Dataflow it runs
+  only where a set is needed: at each PATH's input (DRed's edge set) and
+  at the sink. Elsewhere a key's weight counts its derivations (WSCAN,
+  UNION and the join are exact on bags);
 * recursion (PATH) is maintained with the classical **DRed** algorithm
   [Gupta et al. '93], which the paper identifies as the negative-tuple
   strategy for recursive views: on deletion, over-delete everything
@@ -30,7 +31,8 @@ shared with it:
   ``(x, v, state)`` depends only on its root ``x`` and the edges, so a
   slide is S-PATH's grouped stage (``path_stage.run_stage``) with DRed's
   kernel: ``dred_root`` runs per root in plain Python against step
-  indexes (``algebra.step_index``) of edge sets the driver keeps.
+  indexes (``algebra.step_index``) of edge sets the driver keeps, and
+  sums its ±1 per reached vertex, so PATH's output needs no shuffle.
 
 Collections carry no validity intervals: window membership is entirely
 managed by the source's insert/delete pairs (CQL SEQ-WINDOW style).
@@ -42,6 +44,7 @@ from __future__ import annotations
 import operator
 import sys
 from functools import partial, reduce
+from itertools import groupby
 from typing import List, Sequence, Set, Tuple
 
 import pandas as pd
@@ -119,7 +122,12 @@ class DDSourceOp(SourceOp):
 
 class DDDistinctOp(PhysOp):
     """DD's ``distinct``: maintains multiplicities and emits set-level
-    changes (+1 on 0→>0, −1 on >0→0)."""
+    changes (+1 on 0→>0, −1 on >0→0).
+
+    A slide is one ``groupBy`` over the old counts, tagged with their
+    weight as ``_old``, and the delta; it yields each touched key's old and
+    new multiplicity together and is checkpointed once. The set-level
+    changes and the new counts are filters over that checkpoint."""
 
     def __init__(self, spark: SparkSession, child: PhysOp):
         super().__init__(spark)
@@ -129,23 +137,17 @@ class DDDistinctOp(PhysOp):
     def _on_slide(self, t_now: int) -> DataFrame:
         delta = self.child.process(t_now)
         merged = (
-            self.counts.unionByName(delta)
+            self.counts.withColumn("_old", F.col("w"))
+            .unionByName(delta.withColumn("_old", F.lit(0).cast("long")))
             .groupBy(*_KEY)
-            .agg(F.sum("w").alias("w"))
-        ).localCheckpoint(eager=True)
-        old = self.counts.select(*_KEY).withColumn("_old", F.lit(1))
-        now = merged.filter(F.col("w") > 0).select(*_KEY).withColumn("_now", F.lit(1))
-        diff = old.join(now, on=_KEY, how="full_outer")
-        out = (
-            diff.filter(F.col("_old").isNull() | F.col("_now").isNull())
-            .select(
-                *_KEY,
-                F.when(F.col("_old").isNull(), F.lit(1)).otherwise(F.lit(-1)).alias("w"),
-            )
+            .agg(F.sum("w").alias("w"), F.sum("_old").alias("_old"))
+            .localCheckpoint(eager=True)
         )
-        out = out.localCheckpoint(eager=True)
-        self.counts = merged.filter(F.col("w") > 0)
-        return out
+        now = F.col("w") > 0
+        self.counts = merged.filter(now).select(*_KEY, "w")
+        return merged.filter((F.col("_old") > 0) != now).select(
+            *_KEY, F.when(now, F.lit(1)).otherwise(F.lit(-1)).alias("w")
+        )
 
     def current_keys(self) -> DataFrame:
         return self.counts.select(*_KEY)
@@ -165,8 +167,10 @@ class DDJoinOp(MultiJoinOp):
     def _expire(self, state: DataFrame, t_now: int) -> DataFrame:
         return state
 
-    def _consolidate(self, df: DataFrame) -> DataFrame:
-        return _consolidate(df)
+    def _consolidate(self, state: DataFrame) -> DataFrame:
+        """States are never pruned, so a −1 must cancel its +1: sum the
+        weights per key and drop zeros."""
+        return _consolidate(state)
 
     def _term(self, inputs: List[DataFrame]) -> DataFrame:
         si, sp = self.src_sel
@@ -238,14 +242,21 @@ def dred_root(
 
 def _dred_group(x, rows, start, finals, **steps):
     """``dred_root`` as the grouped stage's kernel: one root's facts in; its
-    new facts (``w`` = 0) and the accepting facts that appeared (+1) or
-    vanished (−1) out."""
+    new facts (``w`` = 0) and, per ``v``, the net change of its accepting
+    facts out: +1 for each that appeared, −1 for each that vanished,
+    summed and under the least accepting state that changed. Zero sums are
+    dropped."""
     before = set(zip(rows.v.tolist(), rows.state.tolist()))
     after = dred_root(x, before, start, **steps)
     was = {n for n in before if n[1] in finals}
     now = {n for n in after if n[1] in finals}
     out = [(*n, 0) for n in after]
-    out += [(*n, 1) for n in now - was] + [(*n, -1) for n in was - now]
+    changed = sorted([(*n, 1) for n in now - was] + [(*n, -1) for n in was - now])
+    for v, group in groupby(changed, key=operator.itemgetter(0)):
+        group = list(group)
+        w = sum(r[2] for r in group)
+        if w:
+            out.append((v, group[0][1], w))
     return pd.DataFrame(out, columns=["v", "state", "w"])
 
 
@@ -258,7 +269,9 @@ class DDPathOp(PhysOp):
     per new root runs ``dred_root`` per root, against step indexes of the
     edge sets that the driver keeps. The output counts accepting
     product-graph facts per ``(src, trg)``: a pair reached in two accepting
-    states has weight 2, and the sink's distinct makes it a set.
+    states has weight 2, and the sink's distinct makes it a set. The stage
+    groups by root, so the kernel sums each pair's changes: the output has
+    one row per changed pair without another shuffle.
     """
 
     def __init__(
@@ -301,11 +314,9 @@ class DDPathOp(PhysOp):
         finals = frozenset(self.dfa.finals)
         kernel = partial(_dred_group, start=self.dfa.start, finals=finals, **steps)
         self.facts, changed = run_stage(self.facts, self.dfa, steps["adds"], kernel)
-        return _consolidate(
-            changed.select(
-                F.col("x").alias("src"),
-                F.col("v").alias("trg"),
-                F.lit(self.label).alias("label"),
-                "w",
-            )
+        return changed.select(
+            F.col("x").alias("src"),
+            F.col("v").alias("trg"),
+            F.lit(self.label).alias("label"),
+            "w",
         )

@@ -108,17 +108,20 @@ class ResultState:
         self.df = model.empty_sgt(spark)
 
     def update(self, delta: DataFrame, t_now: int) -> int:
-        delta = delta.localCheckpoint(eager=True)
-        n = delta.count()
+        """Add this slide's delta, drop what expired, and return the
+        number of delta rows: one checkpoint, the delta's rows tagged,
+        and one count of the tagged rows."""
         # coalesce: unions of checkpointed states accumulate partitions
         # slide over slide; merging them keeps task-scheduling overhead flat.
-        self.df = (
+        df = (
             prune_valid(self.df, t_now)
-            .unionByName(delta)
+            .withColumn("_new", F.lit(False))
+            .unionByName(delta.withColumn("_new", F.lit(True)))
             .coalesce(4)
             .localCheckpoint(eager=True)
         )
-        return n
+        self.df = df.drop("_new")
+        return df.filter("_new").count()
 
     def current_pairs(self, t_now: int) -> List[tuple]:
         return [

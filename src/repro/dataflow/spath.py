@@ -25,7 +25,9 @@ rather than one max-expiry segment.
 arriving sgts seed the root and extend stored segments; each round merges
 the candidates into the tree (**Expand** inserts a node, **Propagate**
 raises its expiry) and extends the changed nodes by every window step,
-until nothing changes. Window maintenance is *direct*: expired index
+until nothing changes. A root's group holds every ``(x, v)`` result of
+the slide, so the kernel also coalesces them per ``v`` and the operator's
+output needs no shuffle. Window maintenance is *direct*: expired index
 entries are identified by their own ``exp`` and dropped — no
 re-derivation, in contrast to the negative-tuple baseline
 (``negtuple.py``).
@@ -45,7 +47,7 @@ from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core import model
 from repro.core.algebra import extend, step_index
-from repro.core.coalesce import coalesce_intervals, coalesce_sgts
+from repro.core.coalesce import coalesce_intervals
 from repro.core.regex import compile_dfa
 from repro.dataflow.operators import PhysOp, prune_valid
 from repro.dataflow.path_stage import collect_delta, run_stage
@@ -118,7 +120,9 @@ def spath_root(
 def _spath_group(x, rows, delta, steps, start, finals):
     """``spath_root`` as the grouped stage's kernel: one root's index rows
     in; its new index (``w`` = 0) and the segments it emits (``w`` = 1)
-    out."""
+    out. The emitted segments are coalesced per ``v`` (Defs. 10–11): an
+    island of overlapping or adjacent intervals keeps the state and
+    witness of its max-``exp`` segment."""
     nodes = {
         (v, s): (ts, exp, tuple((e["src"], e["trg"], e["label"]) for e in path))
         for v, s, ts, exp, path in zip(
@@ -128,7 +132,12 @@ def _spath_group(x, rows, delta, steps, start, finals):
     }
     results = spath_root(x, nodes, delta, steps, start, finals)
     out = [(*n, *seg, 0) for n, seg in nodes.items()]
-    out += [(*r, 1) for r in results]
+    # Islands of one v are disjoint, so (v, max exp) names one island.
+    last = {(v, exp): (s, path) for v, s, _, exp, path in results}
+    out += [
+        (v, last[v, exp][0], ts, exp, last[v, exp][1], 1)
+        for v, ts, exp in coalesce_intervals((r[0], r[2], r[3]) for r in results)
+    ]
     out = pd.DataFrame(out, columns=["v", "state", "ts", "exp", "path", "w"])
     out["path"] = [
         [{"src": s, "trg": t, "label": l} for s, t, l in p] for p in out.path
@@ -183,13 +192,11 @@ class SPathOp(PhysOp):
             finals=frozenset(self.dfa.finals),
         )
         self.index, results = run_stage(self.index, self.dfa, delta_steps, kernel)
-        return coalesce_sgts(
-            results.select(
-                F.col("x").alias("src"),
-                F.col("v").alias("trg"),
-                F.lit(self.label).alias("label"),
-                "ts",
-                "exp",
-                "path",
-            )
+        return results.select(
+            F.col("x").alias("src"),
+            F.col("v").alias("trg"),
+            F.lit(self.label).alias("label"),
+            "ts",
+            "exp",
+            "path",
         )

@@ -1,4 +1,6 @@
 """Coalesce primitive tests (Defs. 10–11)."""
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +84,16 @@ def test_coalesce_covers_same_instants(spark_small, intervals):
     out.sort()
     for (ts1, e1), (ts2, _) in zip(out, out[1:]):
         assert e1 < ts2  # disjoint and non-adjacent
+
+
+def test_no_coalesce_sgts_in_streaming_operators():
+    """The streaming operators make sets only where one is needed, without
+    the window shuffle: ``coalesce_sgts`` is the batch reference's."""
+    dataflow = Path(__file__).resolve().parent.parent / "src" / "repro" / "dataflow"
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(dataflow.rglob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "coalesce_sgts" in line
+    ]
+    assert found == []

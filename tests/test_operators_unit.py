@@ -1,11 +1,17 @@
 """Unit tests for individual physical operators (both approaches)."""
+from collections import Counter
+
 import pandas as pd
 import pytest
 
 from repro.core import model
 from repro.core.algebra import Filter, Union, Wscan
+from repro.core.duck_oracle import sga_snapshot_sql
+from repro.core.rq import parse_rq
+from repro.core.sgq_parser import build_sga
 from repro.dataflow.engine import MicroBatchEngine, compile_plan
 from repro.dataflow.negtuple import (
+    DD_SCHEMA,
     DDDistinctOp,
     DDPathOp,
     DDSourceOp,
@@ -19,7 +25,9 @@ from repro.dataflow.operators import (
     UnionOp,
     prune_valid,
 )
+from repro.dataflow.sym_join import MultiJoinOp
 from repro.queries.workload import DATASETS, QUERIES, get_query
+from tests.util import check_result_set
 
 
 def batch(rows):
@@ -112,6 +120,42 @@ def test_dd_distinct_set_semantics(spark_small):
     assert op.current_keys().count() == 0
 
 
+def _distinct_reference(slides):
+    """Per slide of weighted rows fed to a multiset: its set-level changes
+    and the keys present after it."""
+    counts, out = Counter(), []
+    for rows in slides:
+        before = {k for k, c in counts.items() if c > 0}
+        for *key, w in rows:
+            counts[tuple(key)] += w
+        after = {k for k, c in counts.items() if c > 0}
+        changes = {(*k, 1) for k in after - before} | {(*k, -1) for k in before - after}
+        out.append((changes, after))
+    return out
+
+
+@pytest.mark.parametrize(
+    "slides",
+    [
+        # added and retracted within one slide; present, then -1 and +1
+        [[(1, 2, "a", 1), (1, 2, "a", -1), (3, 4, "a", 1), (5, 6, "a", 1)],
+         [(5, 6, "a", -1), (5, 6, "a", 1)]],
+        # weights above 1: 3 → 1 → 0
+        [[(1, 2, "a", 3), (3, 4, "b", 2)], [(1, 2, "a", -2)], [(1, 2, "a", -1)]],
+        # 1 → 0 → 1 across slides, and an empty slide
+        [[(1, 2, "a", 1)], [(1, 2, "a", -1)], [], [(1, 2, "a", 1)]],
+    ],
+    ids=["within-slide", "weights-above-1", "one-zero-one"],
+)
+def test_dd_distinct_matches_reference(spark_small, slides):
+    feed = Feed({t: model.local_df(spark_small, rows, DD_SCHEMA)
+                 for t, rows in enumerate(slides)})
+    op = DDDistinctOp(spark_small, feed)
+    for t, (changes, keys) in enumerate(_distinct_reference(slides)):
+        assert {tuple(r) for r in op.process(t).collect()} == changes, t
+        assert {tuple(r) for r in op.current_keys().collect()} == keys, t
+
+
 def test_dd_union_consolidates(spark_small):
     """DD's UNION is the shared UnionOp under a distinct, which sums the
     weights per key."""
@@ -173,3 +217,39 @@ def test_consolidate_drops_zero_weights(spark_small):
 
 def test_empty_dd_schema(spark_small):
     assert _empty_dd(spark_small).columns == ["src", "trg", "label", "w"]
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+def test_self_join_shares_one_state(spark_small, mode):
+    """Q8's ``a(x, z), a(y, z)`` joins one source with itself: both inputs
+    read one state, checkpointed once per slide."""
+    root, (source,) = compile_plan(spark_small, get_query("Q8", "so").plan(6, 3), mode)
+    (join,) = [op for op in _operators(root) if isinstance(op, MultiJoinOp)]
+    assert join.children[0] is join.children[1]
+    assert join.states[0] is join.states[1]
+    source.pending = batch([(1, 3, source.label, 0), (2, 3, source.label, 1)])
+    join.process(2)
+    assert join.states[0] is join.states[1]
+    assert join.states[0].count() == 2
+
+
+def test_sga_join_of_duplicate_edges_matches_oracle(spark_small):
+    """The same a-edge twice in one slide and again in the next: the join's
+    state and output are bags, one match per copy (2 rows in the first
+    slide, 4 in the second), and the sink's answer set still equals the
+    DuckDB oracle on every slide."""
+    stream = batch([(1, 2, "a", 0), (1, 2, "a", 0), (2, 3, "b", 1),
+                    (1, 2, "a", 3), (2, 3, "b", 4)])
+    plan = build_sga(parse_rq("Ans(x, y) <- a(x, z), b(z, y)"), 6, 3)
+    checked = []
+
+    def on_slide(eng, t_now):
+        sql = f"SELECT DISTINCT src, trg FROM ({sga_snapshot_sql(plan, t_now)})"
+        check_result_set(eng.current_pairs(), sql, stream)
+        checked.append(t_now)
+
+    m = MicroBatchEngine(spark_small, plan, mode="sga").run(
+        stream, on_slide=on_slide, until=12
+    )
+    assert checked == [2, 5, 8, 11]
+    assert m.n_results == 6

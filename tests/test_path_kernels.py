@@ -248,6 +248,54 @@ def test_group_restores_x(stage):
     assert sorted(zip(out.v, out.state, out.w)) == [(3, A_FINAL, 0), (3, A_FINAL, 1)]
 
 
+A_B_STAR = compile_dfa("a . b*")  # accepting after a (1) and after a·b (2)
+
+
+def test_spath_group_coalesces_results_per_v():
+    """One slide from root X reaches V, S, T and 8 both by a single a-edge
+    (state 1) and through a·b (state 2). Per v the emitted segments are
+    coalesced: V's overlapping and S's adjacent intervals merge, T's
+    disjoint ones stay, and each island keeps the state and witness of
+    its max-exp segment (8's is the direct a-edge)."""
+    xv, xu, uv = (X, V, "a", 0, 10), (X, U, "a", 4, 20), (U, V, "b", 4, 20)
+    xs, xy, ys = (X, S, "a", 0, 5), (X, Y, "a", 5, 12), (Y, S, "b", 5, 12)
+    xt, xz, zt = (X, T, "a", 0, 3), (X, Z, "a", 6, 9), (Z, T, "b", 6, 9)
+    x8, x9, e98 = (X, 8, "a", 0, 12), (X, 9, "a", 5, 8), (9, 8, "b", 5, 8)
+    window = [xv, xu, uv, xs, xy, ys, xt, xz, zt, x8, x9, e98]
+    steps = step_index(A_B_STAR, window)
+    rows = pd.DataFrame(columns=["v", "state", "ts", "exp", "path"])
+    out = _spath_group(X, rows, steps, steps, A_B_STAR.start,
+                       frozenset(A_B_STAR.finals))
+    emitted = sorted(
+        (v, s, ts, exp, tuple((e["src"], e["trg"], e["label"]) for e in path))
+        for v, s, ts, exp, path, w in out.itertuples(index=False) if w == 1
+    )
+    assert emitted == sorted([
+        (V, 2, 0, 20, walk(xu, uv)), (U, 1, 4, 20, walk(xu)),
+        (S, 2, 0, 12, walk(xy, ys)), (Y, 1, 5, 12, walk(xy)),
+        (T, 1, 0, 3, walk(xt)), (T, 2, 6, 9, walk(xz, zt)), (Z, 1, 6, 9, walk(xz)),
+        (8, 1, 0, 12, walk(x8)), (9, 1, 5, 8, walk(x9)),
+    ])
+
+
+def test_dred_group_emits_one_net_weight_per_v():
+    """V is accepted after a (state 1) and after a·b (state 2). When both
+    facts appear, V gets one row of weight 2; when one vanishes as the
+    other appears, V's changes cancel and it gets no row."""
+    xv, xu, uv = (X, V, "a", 0, 10), (X, U, "a", 0, 10), (U, V, "b", 0, 10)
+    kernel, row, cols = _dred_stage(A_B_STAR, [], [xv, xu, uv])
+    out = per_root(pd.DataFrame([row(X, X, MARKER)], columns=cols), kernel)
+    assert sorted(zip(out.v, out.state, out.w)) == [
+        (U, 1, 0), (U, 1, 1), (V, 1, 0), (V, 1, 2), (V, 2, 0)
+    ]
+
+    kernel, row, cols = _dred_stage(A_B_STAR, [xv], [xu, uv])
+    out = per_root(pd.DataFrame([row(X, V, 1)], columns=cols), kernel)
+    assert sorted(zip(out.v, out.state, out.w)) == [
+        (U, 1, 0), (U, 1, 1), (V, 2, 0)
+    ]
+
+
 INTERVALS = st.lists(
     st.tuples(
         st.integers(0, 2), st.integers(0, 1), st.sampled_from("ab"),
