@@ -10,14 +10,14 @@ over Spark DataFrames:
   S-PATH) or the *negative-tuple* baseline (mode ``"dd"``: weighted
   deltas + DRed), §6 / §7.2.2. The modes share FILTER and UNION, the
   join's telescoping shell (``DDJoinOp`` subclasses ``MultiJoinOp``) and
-  PATH's per-root grouped stage (``path_stage.run_stage``: Δ-PATH trees
-  and DRed's product-graph facts depend only on their root and the
-  window's edges), and differ only where expiry handling does: pruning
-  by ``exp`` vs −1 tuples, S-PATH's vs DRed's per-root kernel. Both
-  modes pass bags and make a set only where one is observed: PATH's
-  grouped stage coalesces (SGA) or sums (DD) each root's output, and
-  DD's ``DDDistinctOp`` runs at each PATH's input and at the sink
-  (``result_counts``), SGA's ``ResultState`` at the sink;
+  PATH's (``SPathOp`` and ``DDPathOp`` subclass ``path_stage.PathOp``),
+  and differ only where expiry handling does: pruning by ``exp`` vs −1
+  tuples, S-PATH's vs DRed's window fold and per-root kernel. Both modes
+  pass bags and make a set only where one is observed: PATH folds its
+  input into a driver-held window and coalesces (SGA) or sums (DD) each
+  root's output in its stage; DD's ``DDDistinctOp`` runs at each PATH's
+  input (DRed's edge set) and at the sink (``result_counts``), SGA's
+  ``ResultState`` at the sink;
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), from the slide
   that holds the first edge, timing each window movement end-to-end —
@@ -92,8 +92,10 @@ def compile_plan(
             children = [build(c) for c in n.children]
             op = join(spark, children, n.phi, n.src_sel, n.trg_sel, n.label)
         elif isinstance(n, Path):
-            path = SPathOp if sga else dd.DDPathOp
-            op = path(spark, [build(c) for c in n.children], n.regex, n.label)
+            children = [build(c) for c in n.children]
+            if not sga:  # DRed's edge set: a distinct over PATH's input
+                children = [dd.DDDistinctOp(spark, UnionOp(spark, children, None))]
+            op = (SPathOp if sga else dd.DDPathOp)(spark, children, n.regex, n.label)
         else:
             raise TypeError(f"unknown SGA node {n!r}")
         memo[id(n)] = op

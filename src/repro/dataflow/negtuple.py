@@ -10,7 +10,7 @@ shared with it:
 * FILTER and UNION are the direct engine's stateless ``FilterOp`` and
   ``UnionOp`` (both are linear, so they map weighted deltas unchanged);
 * the source is the direct WSCAN plus the window state that emits −1
-  *negative tuples* on expiry;
+  *negative tuples* on expiry; its output is a bag, like the join's;
 * PATTERN is the direct engine's telescoping symmetric join
   (``sym_join.MultiJoinOp``) with negative-tuple expiry: states are not
   pruned by ``exp``, they are consolidated by weight so that a −1 cancels
@@ -19,20 +19,20 @@ shared with it:
   is a bag of weighted deltas, not consolidated;
 * ``DDDistinctOp`` keeps multiplicities and emits set-level changes in
   one grouped, checkpointed pass; as in Differential Dataflow it runs
-  only where a set is needed: at each PATH's input (DRed's edge set) and
-  at the sink. Elsewhere a key's weight counts its derivations (WSCAN,
-  UNION and the join are exact on bags);
+  only where a set is observed: at each PATH's input, whose keys are
+  DRed's edge set, and at the sink. Elsewhere a key's weight
+  counts its derivations (WSCAN, UNION and the join are exact on bags);
 * recursion (PATH) is maintained with the classical **DRed** algorithm
   [Gupta et al. '93], which the paper identifies as the negative-tuple
   strategy for recursive views: on deletion, over-delete everything
   derivable from the deleted tuples, then re-derive what still has an
   alternative derivation. On cyclic graphs the over-deletion is large —
   the cost the paper's *direct* S-PATH avoids. A product-graph fact
-  ``(x, v, state)`` depends only on its root ``x`` and the edges, so a
-  slide is S-PATH's grouped stage (``path_stage.run_stage``) with DRed's
-  kernel: ``dred_root`` runs per root in plain Python against step
-  indexes (``algebra.step_index``) of edge sets the driver keeps, and
-  sums its ±1 per reached vertex, so PATH's output needs no shuffle.
+  ``(x, v, state)`` depends only on its root ``x`` and the edges, so
+  ``DDPathOp`` is PATH's shared shell (``path_stage.PathOp``) with DRed's
+  kernel, ``dred_root``, and window: a driver-held multiset of its input
+  edges (``fold_counts``). The kernel sums its ±1 per reached vertex, so
+  PATH's output needs no shuffle.
 
 Collections carry no validity intervals: window membership is entirely
 managed by the source's insert/delete pairs (CQL SEQ-WINDOW style).
@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import Counter
 from functools import partial, reduce
 from itertools import groupby
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 import pandas as pd
 from pyspark import cloudpickle
@@ -55,9 +56,8 @@ from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import model
 from repro.core.algebra import join_phi, step_index
-from repro.core.regex import compile_dfa
-from repro.dataflow.operators import PhysOp, SourceOp, UnionOp, prune_valid
-from repro.dataflow.path_stage import collect_delta, run_stage
+from repro.dataflow.operators import PhysOp, SourceOp, prune_valid
+from repro.dataflow.path_stage import PathOp
 from repro.dataflow.sym_join import MultiJoinOp
 
 # The grouped stage ships the DRed kernel to Python workers by value, so
@@ -74,6 +74,8 @@ DD_SCHEMA = StructType(
 )
 
 _KEY = ["src", "trg", "label"]
+
+_EDGES = StructType(DD_SCHEMA.fields[:3])
 
 _FACT_SCHEMA = StructType(
     [
@@ -114,10 +116,9 @@ class DDSourceOp(SourceOp):
             .coalesce(4)
             .localCheckpoint(eager=True)
         )
-        out = arriving.select(*_KEY, F.lit(1).alias("w")).unionByName(
+        return arriving.select(*_KEY, F.lit(1).alias("w")).unionByName(
             expiring.select(*_KEY, F.lit(-1).alias("w"))
         )
-        return _consolidate(out)
 
 
 class DDDistinctOp(PhysOp):
@@ -260,63 +261,51 @@ def _dred_group(x, rows, start, finals, **steps):
     return pd.DataFrame(out, columns=["v", "state", "w"])
 
 
-class DDPathOp(PhysOp):
-    """DRed-maintained PATH over the (vertex × DFA-state) product graph.
+def fold_counts(counts: Counter, rows) -> Tuple[Counter, Set, Set]:
+    """DRed's window fold: ``counts`` holds each key ``(src, trg, label)``
+    of the window with its count of derivations (> 0), and ``rows`` are a
+    slide's weighted deltas ``(src, trg, label, w)``, a bag. Returns the
+    new counts, the keys added (count 0 → > 0) and those deleted (> 0 → 0)."""
+    delta = Counter()
+    for *key, w in rows:
+        delta[tuple(key)] += w
+    new = counts + delta  # keeps only the keys whose count is > 0
+    adds = {k for k in delta if k in new and k not in counts}
+    return new, adds, {k for k in delta if k in counts and k not in new}
 
-    The children's weighted deltas pass through the operator's own
-    ``DDDistinctOp``, whose key set is the current edge set (``edges``).
-    Per slide, the shared grouped stage over ``facts`` plus a marker row
-    per new root runs ``dred_root`` per root, against step indexes of the
-    edge sets that the driver keeps. The output counts accepting
-    product-graph facts per ``(src, trg)``: a pair reached in two accepting
-    states has weight 2, and the sink's distinct makes it a set. The stage
-    groups by root, so the kernel sums each pair's changes: the output has
-    one row per changed pair without another shuffle.
-    """
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        children: Sequence[PhysOp],
-        regex: str,
-        label: str,
-    ):
-        super().__init__(spark)
-        self.child = DDDistinctOp(spark, UnionOp(spark, children, None))
-        self.label = label
-        self.dfa = compile_dfa(regex)
-        self.facts: DataFrame = model.local_df(spark, [], _FACT_SCHEMA)
-        # The edge set (src, trg, label) of the PATH's labels, kept up to
-        # date from the distinct's set-level changes.
-        self._window: Set[tuple] = set()
+class DDPathOp(PathOp):
+    """DRed-maintained PATH over the (vertex × DFA-state) product graph:
+    the shared shell with negative-tuple expiry and DRed's kernel. The
+    window is a multiset of the input edges (``fold_counts``), whose keys
+    are DRed's edge set (``edges``). The output counts accepting facts per
+    ``(src, trg)`` (weight 2 for a pair reached in two accepting states),
+    summed per pair in the stage; the sink's distinct makes it a set."""
 
-    @property
-    def edges(self) -> DataFrame:
-        """The current edge set: the input distinct's keys."""
-        return self.child.current_keys()
+    PAYLOAD = ("w",)
+    STATE = _FACT_SCHEMA
+    OUTPUT = DD_SCHEMA
+    WINDOW = Counter
+    _kernel = staticmethod(_dred_group)
 
-    def _on_slide(self, t_now: int) -> DataFrame:
-        delta = collect_delta(self.child.process(t_now), self.dfa, [*_KEY, "w"])
-        if not delta:
-            return _empty_dd(self.spark)
-        adds = {tuple(r[:3]) for r in delta if r.w > 0}
-        dels = {tuple(r[:3]) for r in delta if r.w < 0}
-        old = self._window
-        self._window = (old - dels) | adds
+    #: DRed's product-graph facts: the shell's per-root state.
+    facts = property(lambda self: self.state)
+
+    #: The current edge set, the multiset's keys, built on access.
+    edges = property(lambda self: model.local_df(self.spark, list(self.window), _EDGES))
+
+    def _fold(self, rows, t_now: int):
+        """Expired edges arrive as −1 rows. DRed runs when an edge was
+        added or deleted, on the edges before, deleted, kept, added, after."""
+        old = self.window
+        self.window, adds, dels = fold_counts(old, rows)
+        if not adds and not dels:
+            return None
         index = partial(step_index, self.dfa)
-        steps = {
+        return {
             "old": index(old),
             "dels": index(dels),
-            "mid": index(old - dels),
+            "mid": index(old.keys() - dels),
             "adds": index(adds),
-            "new": index(self._window),
+            "new": index(self.window),
         }
-        finals = frozenset(self.dfa.finals)
-        kernel = partial(_dred_group, start=self.dfa.start, finals=finals, **steps)
-        self.facts, changed = run_stage(self.facts, self.dfa, steps["adds"], kernel)
-        return changed.select(
-            F.col("x").alias("src"),
-            F.col("v").alias("trg"),
-            F.lit(self.label).alias("label"),
-            "w",
-        )

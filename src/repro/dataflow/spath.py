@@ -11,12 +11,12 @@ where ``path`` materializes the witness edge sequence (so results return
 actual paths — R3; parent pointers are implicit in the materialized
 sequence).
 
-Δ-PATH is a forest of spanning trees, one per root, so a slide is the
-per-root grouped stage shared with DRed (``path_stage.run_stage``), which
-runs ``spath_root`` per tree in plain Python. S-PATH's window is the
-window's edges on the driver as coalesced intervals (Defs. 10–11,
-``coalesce_intervals``), indexed by (vertex, state) with
-``algebra.step_index``; a segment grows by the Def. 20 step
+Δ-PATH is a forest of spanning trees, one per root, so ``SPathOp`` is
+PATH's operator shell shared with DRed (``path_stage.PathOp``), whose
+grouped stage runs ``spath_root`` per tree in plain Python. S-PATH
+brings the window fold: the window's edges on the driver as coalesced
+intervals (Defs. 10–11, ``coalesce_intervals``), indexed by (vertex,
+state) with ``algebra.step_index``; a segment grows by the Def. 20 step
 ``algebra.extend``. The batch reference (``algebra.pareto_root``) uses
 the same index and step, but keeps a Pareto set of intervals per node
 rather than one max-expiry segment.
@@ -37,20 +37,17 @@ from __future__ import annotations
 import math
 import sys
 from functools import partial
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import pandas as pd
 from pyspark import cloudpickle
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.core import model
 from repro.core.algebra import extend, step_index
 from repro.core.coalesce import coalesce_intervals
-from repro.core.regex import compile_dfa
-from repro.dataflow.operators import PhysOp, prune_valid
-from repro.dataflow.path_stage import collect_delta, run_stage
+from repro.dataflow.operators import prune_valid
+from repro.dataflow.path_stage import PathOp
 
 # The grouped stage ships the kernel to Python workers by value, so the
 # workers need not import this package.
@@ -117,7 +114,7 @@ def spath_root(
     raise RuntimeError(f"S-PATH from root {x} did not converge")
 
 
-def _spath_group(x, rows, delta, steps, start, finals):
+def _spath_group(x, rows, start, finals, adds, new):
     """``spath_root`` as the grouped stage's kernel: one root's index rows
     in; its new index (``w`` = 0) and the segments it emits (``w`` = 1)
     out. The emitted segments are coalesced per ``v`` (Defs. 10–11): an
@@ -130,7 +127,7 @@ def _spath_group(x, rows, delta, steps, start, finals):
             rows.exp.tolist(), rows.path.tolist(),
         )
     }
-    results = spath_root(x, nodes, delta, steps, start, finals)
+    results = spath_root(x, nodes, adds, new, start, finals)
     out = [(*n, *seg, 0) for n, seg in nodes.items()]
     # Islands of one v are disjoint, so (v, max exp) names one island.
     last = {(v, exp): (s, path) for v, s, _, exp, path in results}
@@ -145,58 +142,32 @@ def _spath_group(x, rows, delta, steps, start, finals):
     return out
 
 
-class SPathOp(PhysOp):
-    """Physical PATH operator implementing Algorithm S-PATH."""
+class SPathOp(PathOp):
+    """Physical PATH operator implementing Algorithm S-PATH: the shared
+    shell with direct expiry and the Δ-PATH kernel. The window is the
+    window's edges ``(src, trg, label, ts, exp)``, coalesced per key."""
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        children: Sequence[PhysOp],
-        regex: str,
-        label: str,
-    ):
-        super().__init__(spark)
-        self.children = list(children)
-        self.label = label
-        self.dfa = compile_dfa(regex)
-        self.index: DataFrame = model.local_df(spark, [], _INDEX_SCHEMA)
-        # The window's edges (src, trg, label, ts, exp), coalesced per key.
-        self._window: List[tuple] = []
+    PAYLOAD = ("ts", "exp")
+    STATE = _INDEX_SCHEMA
+    OUTPUT = model.SGT_SCHEMA
+    WINDOW = list
+    _kernel = staticmethod(_spath_group)
 
-    @property
-    def edges(self) -> DataFrame:
-        """The window's edges as an sgt DataFrame, built on access."""
-        return model.sgt_df(self.spark, self._window)
+    #: The Δ-PATH index: the shell's per-root state.
+    index = property(lambda self: self.state)
 
-    def _on_slide(self, t_now: int) -> DataFrame:
-        delta = self.children[0].process(t_now)
-        for c in self.children[1:]:
-            delta = delta.unionByName(c.process(t_now))
-        rows = collect_delta(delta, self.dfa, ["src", "trg", "label", "ts", "exp"])
+    #: The window's edges as an sgt DataFrame, built on access.
+    edges = property(lambda self: model.sgt_df(self.spark, self.window))
+
+    def _fold(self, rows, t_now: int):
+        """Direct expiry: index entries and edges drop out by their own
+        ``exp``. The kernel runs when an edge arrived."""
         arriving = coalesce_intervals(tuple(r) for r in rows)
-
-        # Direct window maintenance: expired segments/edges just drop out.
-        self.index = prune_valid(self.index, t_now)
-        self._window = coalesce_intervals(
-            [e for e in self._window if e[4] > t_now] + arriving
+        self.state = prune_valid(self.state, t_now)
+        self.window = coalesce_intervals(
+            [e for e in self.window if e[4] > t_now] + arriving
         )
         if not arriving:
-            return model.empty_sgt(self.spark)
-
-        delta_steps = step_index(self.dfa, arriving)
-        kernel = partial(
-            _spath_group,
-            delta=delta_steps,
-            steps=step_index(self.dfa, self._window),
-            start=self.dfa.start,
-            finals=frozenset(self.dfa.finals),
-        )
-        self.index, results = run_stage(self.index, self.dfa, delta_steps, kernel)
-        return results.select(
-            F.col("x").alias("src"),
-            F.col("v").alias("trg"),
-            F.lit(self.label).alias("label"),
-            "ts",
-            "exp",
-            "path",
-        )
+            return None
+        index = partial(step_index, self.dfa)
+        return {"adds": index(arriving), "new": index(self.window)}

@@ -4,6 +4,8 @@ The baseline must be *correct* (it computes the same answers as the
 direct approach — the paper compares their cost, not their results), so
 the same per-slide oracle checks apply.
 """
+import random
+
 import pandas as pd
 import pytest
 
@@ -126,3 +128,59 @@ def test_long_chain_in_one_slide(spark_small, mode):
         columns=["src", "trg", "label", "ts"],
     )
     run_checked(spark_small, rpq_plan("a+", W, BETA), chain, mode=mode, until=9)
+
+
+def edges(rows):
+    return pd.DataFrame(rows, columns=["src", "trg", "label", "ts"])
+
+
+Q8 = "P(x, y) <- a(x, z), a(y, z); Ans(x, y) <- P+(x, y)"
+
+#: (1, 2, a) arrives at ts 0 and again at ts 6. With W = 6 and β = 3 the
+#: first copy expires (exp 6) in the slide [6, 9) that brings the second,
+#: so DD's source emits +1 and −1 for the key in one slide.
+REARRIVING = edges([(1, 2, "a", 0), (2, 3, "a", 1), (3, 2, "a", 2),
+                    (4, 2, "a", 4), (1, 2, "a", 6), (2, 5, "a", 7)])
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+@pytest.mark.parametrize(
+    "plan",
+    [lambda: rpq_plan("a+", W, BETA), lambda: build_sga(parse_rq(Q8), W, BETA)],
+    ids=["a+", "Q8"],
+)
+def test_key_arrives_as_its_copy_expires(spark_small, mode, plan):
+    run_checked(spark_small, plan(), REARRIVING, mode=mode, until=12)
+
+
+_burst = random.Random(5)
+
+#: Streams no generator makes, each with its plan and the time to run to.
+ADVERSARIAL = {
+    # self-loops alone and inside a chain; the loop at 2 outlives 1 → 2
+    "self-loops": ("a+", 12, [(1, 1, "a", 0), (1, 2, "a", 1), (2, 2, "a", 3),
+                              (2, 3, "a", 4), (3, 3, "a", 7), (3, 1, "a", 7)]),
+    # nothing arrives or expires in the slides [3, 6) and [9, 12)
+    "empty-slides": (Q8, None, [(1, 3, "a", 0), (2, 3, "a", 1), (4, 3, "a", 2),
+                                (5, 3, "a", 6), (2, 6, "a", 7), (6, 3, "a", 12)]),
+    # 40 edges on 8 vertices in the slide [3, 6), which expire together
+    "burst": ("a . b*", 12, [(1, 2, "a", 0), (2, 3, "b", 7)] + [
+        (_burst.randrange(8), _burst.randrange(8), _burst.choice("ab"),
+         _burst.randrange(3, 6)) for _ in range(40)
+    ]),
+    # a·b·c cycles through 1, 2, 3 and 1, 2, 4, closing and expiring
+    "abc-cycles": ("(a . b . c)+", 12, [(1, 2, "a", 0), (2, 3, "b", 1),
+                                         (3, 1, "c", 2), (2, 4, "b", 4),
+                                         (4, 1, "c", 5), (1, 2, "a", 7)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+@pytest.mark.parametrize("case", list(ADVERSARIAL))
+def test_adversarial_streams(spark_small, mode, case):
+    program, until, rows = ADVERSARIAL[case]
+    if "<-" in program:
+        plan = build_sga(parse_rq(program), W, BETA)
+    else:
+        plan = rpq_plan(program, W, BETA)
+    run_checked(spark_small, plan, edges(rows), mode=mode, until=until)

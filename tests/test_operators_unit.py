@@ -17,6 +17,7 @@ from repro.dataflow.negtuple import (
     DDSourceOp,
     _consolidate,
     _empty_dd,
+    fold_counts,
 )
 from repro.dataflow.operators import (
     FilterOp,
@@ -25,6 +26,8 @@ from repro.dataflow.operators import (
     UnionOp,
     prune_valid,
 )
+from repro.dataflow.path_stage import PathOp
+from repro.dataflow.spath import SPathOp
 from repro.dataflow.sym_join import MultiJoinOp
 from repro.queries.workload import DATASETS, QUERIES, get_query
 from tests.util import check_result_set
@@ -92,14 +95,29 @@ def test_result_state_accumulates_and_expires(spark_small):
 
 
 def test_dd_source_emits_negative_tuples(spark_small):
+    """The source emits a bag: +1 per arriving sge, −1 per expiring one,
+    so a key's weights sum to its change in the window."""
+    def weights(out):
+        rows = [(r.src, r.trg, r.w) for r in out.collect()]
+        sums = Counter()
+        for src, trg, w in rows:
+            sums[src, trg] += w
+        return sorted(rows), {k: w for k, w in sums.items() if w}
+
     op = DDSourceOp(spark_small, "a", size=4, slide=2)
     op.pending = batch([(1, 2, "a", 0)])
-    out0 = {(r.src, r.trg, r.w) for r in op.process(1).collect()}
-    assert out0 == {(1, 2, 1)}
+    assert weights(op.process(1)) == ([(1, 2, 1)], {(1, 2): 1})
     # exp = floor(0/2)*2+4 = 4 → negative tuple once t_now >= 4
     op.pending = None
-    out1 = {(r.src, r.trg, r.w) for r in op.process(5).collect()}
-    assert out1 == {(1, 2, -1)}
+    assert weights(op.process(5)) == ([(1, 2, -1)], {(1, 2): -1})
+    # A copy arrives in the slide in which the earlier copy expires: both
+    # rows are emitted, and the key's weights sum to 0.
+    op.pending = batch([(3, 4, "a", 6)])
+    op.process(7)
+    op.pending = batch([(3, 4, "a", 10), (5, 6, "a", 11)])
+    assert weights(op.process(11)) == (
+        [(3, 4, -1), (3, 4, 1), (5, 6, 1)], {(5, 6): 1}
+    )
 
 
 def test_dd_distinct_set_semantics(spark_small):
@@ -134,7 +152,7 @@ def _distinct_reference(slides):
     return out
 
 
-@pytest.mark.parametrize(
+DISTINCT_CASES = pytest.mark.parametrize(
     "slides",
     [
         # added and retracted within one slide; present, then -1 and +1
@@ -147,6 +165,9 @@ def _distinct_reference(slides):
     ],
     ids=["within-slide", "weights-above-1", "one-zero-one"],
 )
+
+
+@DISTINCT_CASES
 def test_dd_distinct_matches_reference(spark_small, slides):
     feed = Feed({t: model.local_df(spark_small, rows, DD_SCHEMA)
                  for t, rows in enumerate(slides)})
@@ -156,8 +177,20 @@ def test_dd_distinct_matches_reference(spark_small, slides):
         assert {tuple(r) for r in op.current_keys().collect()} == keys, t
 
 
+@DISTINCT_CASES
+def test_dd_window_fold_matches_reference(slides):
+    """DRed's window fold, without Spark: its adds and deletes and its keys
+    after each slide are the multiset's set-level changes and keys."""
+    counts = Counter()
+    for t, (changes, keys) in enumerate(_distinct_reference(slides)):
+        counts, adds, dels = fold_counts(counts, slides[t])
+        assert {(*k, 1) for k in adds} | {(*k, -1) for k in dels} == changes, t
+        assert set(counts) == keys and all(c > 0 for c in counts.values()), t
+
+
 def test_dd_union_consolidates(spark_small):
-    """DD's UNION is the shared UnionOp under a distinct, which sums the
+    """DD's UNION is the shared UnionOp: it passes its children's weighted
+    rows on as a bag, and a distinct over it, as at PATH's input, sums the
     weights per key."""
     def dd_rows(rows):
         return spark_small.createDataFrame(rows, ["src", "trg", "label", "w"])
@@ -195,15 +228,19 @@ def _operators(root):
 @pytest.mark.parametrize("query", list(QUERIES))
 def test_dd_distinct_only_at_path_input_and_sink(spark_small, dataset, query):
     """DD makes deltas a set only where one is needed: each PATH's input
-    (DRed's edge set) and the sink."""
+    (DRed's edge set) and the sink. Both engines' PATHs are the shared
+    operator shell, overriding no ``_on_slide``."""
     plan = get_query(query, dataset).plan(6, 3)
     engine = MicroBatchEngine(spark_small, plan, mode="dd")
     ops = _operators(engine.root)
     paths = [op for op in ops if type(op) is DDPathOp]
     distincts = [op for op in ops if type(op) is DDDistinctOp]
-    assert sorted(map(id, distincts)) == sorted(id(p.child) for p in paths)
+    assert [len(p.children) for p in paths] == [1] * len(paths)
+    assert sorted(map(id, distincts)) == sorted(id(p.children[0]) for p in paths)
     assert type(engine.result_counts) is DDDistinctOp
     assert engine.result_counts.child is engine.root
+    for path in (SPathOp, DDPathOp):
+        assert issubclass(path, PathOp) and "_on_slide" not in vars(path)
 
 
 def test_consolidate_drops_zero_weights(spark_small):

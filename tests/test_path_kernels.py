@@ -1,14 +1,19 @@
 """The per-root PATH kernels, run without Spark: S-PATH's ``spath_root``
 on the paper's Example 9 (Fig. 5), and DRed's ``dred_root`` and batch
 PATH's ``pareto_root`` against from-scratch product-graph reachability;
-the shared stage's group wrapper around either engine's kernel; and the
-driver-side coalesce against ``coalesce_sgts``."""
+the shared stage's group wrapper around either engine's kernel, also
+pickled as the stage ships it; and the driver-side coalesce against
+``coalesce_sgts``."""
+import os
+import subprocess
+import sys
 from functools import partial
 
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark import cloudpickle
 
 from repro.core.algebra import pareto_root, step_index
 from repro.core.coalesce import coalesce_intervals, coalesce_sgts
@@ -183,8 +188,8 @@ def _spath_stage(dfa, before, after):
     """S-PATH's group kernel for a slide from window ``before`` to
     ``after``, a state row maker and the state's columns."""
     arriving = [e for e in after if e not in before]
-    kernel = partial(_spath_group, delta=step_index(dfa, arriving),
-                     steps=step_index(dfa, after), start=dfa.start,
+    kernel = partial(_spath_group, adds=step_index(dfa, arriving),
+                     new=step_index(dfa, after), start=dfa.start,
                      finals=frozenset(dfa.finals))
 
     def row(x, v, state, path=()):
@@ -248,6 +253,39 @@ def test_group_restores_x(stage):
     assert sorted(zip(out.v, out.state, out.w)) == [(3, A_FINAL, 0), (3, A_FINAL, 1)]
 
 
+#: Run in a fresh interpreter: unpickle the group function and its group,
+#: run it, and pickle its output. ``repro`` is made unimportable, as on a
+#: Python worker that has no access to the package.
+UNPICKLE_AND_RUN = """
+import pickle, sys
+sys.modules["repro"] = None
+with open("stage.pkl", "rb") as f:
+    fn, group = pickle.load(f)
+with open("out.pkl", "wb") as f:
+    pickle.dump(fn(group), f)
+"""
+
+
+@STAGES
+def test_group_function_runs_where_the_package_cannot_be_imported(stage, tmp_path):
+    """The stage pickles ``per_root`` around the kernel with cloudpickle
+    and runs it on Python workers that need not import this package:
+    every module the kernel reaches must be pickled by value. Unpickled in
+    a ``sys.executable`` subprocess with ``PYTHONPATH`` unset, outside the
+    repository, it gives the output it gives here on a marker-only group."""
+    kernel, row, cols = stage(A_PLUS, CHAIN[:1], CHAIN)
+    fn = partial(per_root, kernel=kernel)
+    group = pd.DataFrame([row(2, 2, MARKER)], columns=cols)
+    (tmp_path / "stage.pkl").write_bytes(cloudpickle.dumps((fn, group)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", UNPICKLE_AND_RUN],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pd.testing.assert_frame_equal(pd.read_pickle(tmp_path / "out.pkl"), fn(group))
+
+
 A_B_STAR = compile_dfa("a . b*")  # accepting after a (1) and after a·b (2)
 
 
@@ -264,8 +302,8 @@ def test_spath_group_coalesces_results_per_v():
     window = [xv, xu, uv, xs, xy, ys, xt, xz, zt, x8, x9, e98]
     steps = step_index(A_B_STAR, window)
     rows = pd.DataFrame(columns=["v", "state", "ts", "exp", "path"])
-    out = _spath_group(X, rows, steps, steps, A_B_STAR.start,
-                       frozenset(A_B_STAR.finals))
+    out = _spath_group(X, rows, A_B_STAR.start, frozenset(A_B_STAR.finals),
+                       adds=steps, new=steps)
     emitted = sorted(
         (v, s, ts, exp, tuple((e["src"], e["trg"], e["label"]) for e in path))
         for v, s, ts, exp, path, w in out.itertuples(index=False) if w == 1
