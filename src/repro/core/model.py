@@ -158,13 +158,3 @@ def snapshot(sgts: DataFrame, t: int) -> DataFrame:
         .distinct()
     )
 
-
-def snapshot_pairs(sgts: DataFrame, t: int) -> DataFrame:
-    """Snapshot projected to ``(src, trg)`` pairs — the result-set view used
-    when comparing query answers (output streams carry a single label)."""
-    return (
-        sgts.filter((F.col("ts") <= F.lit(t)) & (F.col("exp") > F.lit(t)))
-        .select("src", "trg")
-        .distinct()
-    )
-

@@ -17,7 +17,9 @@ over Spark DataFrames:
   input into a driver-held window and coalesces (SGA) or sums (DD) each
   root's output in its stage; DD's ``DDDistinctOp`` runs at each PATH's
   input (DRed's edge set) and at the sink (``result_counts``), SGA's
-  ``ResultState`` at the sink;
+  ``ResultState`` at the sink. The sinks, DD's distincts and DD's
+  source window are driver-held folds, one collect of their input per
+  slide, so the answer set is read without a Spark job;
 * ``MicroBatchEngine.run`` replays an input graph stream slide by slide
   (slide interval β = input batch size, as in §7.1.2), from the slide
   that holds the first edge, timing each window movement end-to-end —
@@ -25,8 +27,9 @@ over Spark DataFrames:
   throughput and tail latency like the paper's Table 2.
 
 Every frame the driver builds (a source's batch, an empty state, PATH's
-marker rows) is a JVM local relation (``model.local_df``), so the only
-per-slide Spark job that starts Python workers is PATH's grouped stage.
+marker rows, a driver fold's output) is a JVM local relation
+(``model.local_df``), so the only per-slide Spark job that starts Python
+workers is PATH's grouped stage.
 
 Timely's progress tracking is replaced by the driver's watermark
 ``t_now``: a slide's batch is fully delivered to every source before the
@@ -129,9 +132,7 @@ class MicroBatchEngine:
         the system observes after the last window movement)."""
         if self.mode == "sga":
             return self.result.current_pairs(self.t_now)
-        return [
-            (r.src, r.trg) for r in self.result_counts.current_keys().collect()
-        ]
+        return [(src, trg) for src, trg, _ in self.result_counts.multiset]
 
     # -- driving -----------------------------------------------------------
     def run(
@@ -181,7 +182,8 @@ class MicroBatchEngine:
                 if self.mode == "sga":
                     n = self.result.update(delta, t_now)
                 else:
-                    n = self.result_counts.process(t_now).count()
+                    self.result_counts.process(t_now)
+                    n = self.result_counts.n_changes
                 elapsed = time.perf_counter() - start
                 self.t_now = t_now
                 metrics.slide_seconds.append(elapsed)

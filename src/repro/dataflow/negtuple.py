@@ -9,19 +9,20 @@ shared with it:
 
 * FILTER and UNION are the direct engine's stateless ``FilterOp`` and
   ``UnionOp`` (both are linear, so they map weighted deltas unchanged);
-* the source is the direct WSCAN plus the window state that emits −1
-  *negative tuples* on expiry; its output is a bag, like the join's;
+* the source is the direct WSCAN plus a driver-held window that emits
+  −1 *negative tuples* on expiry; its output is a bag, like the join's;
 * PATTERN is the direct engine's telescoping symmetric join
   (``sym_join.MultiJoinOp``) with negative-tuple expiry: states are not
   pruned by ``exp``, they are consolidated by weight so that a −1 cancels
   its +1, and a term is the shared left-deep join tree
   (``algebra.join_phi``) with its inputs' weights multiplied. Its output
   is a bag of weighted deltas, not consolidated;
-* ``DDDistinctOp`` keeps multiplicities and emits set-level changes in
-  one grouped, checkpointed pass; as in Differential Dataflow it runs
-  only where a set is observed: at each PATH's input, whose keys are
-  DRed's edge set, and at the sink. Elsewhere a key's weight
-  counts its derivations (WSCAN, UNION and the join are exact on bags);
+* ``DDDistinctOp`` keeps multiplicities on the driver and emits
+  set-level changes, by the rule DRed's window uses (``fold_counts``);
+  as in Differential Dataflow it runs only where a set is observed: at
+  each PATH's input, whose keys are DRed's edge set, and at the sink.
+  Elsewhere a key's weight counts its derivations (WSCAN, UNION and the
+  join are exact on bags);
 * recursion (PATH) is maintained with the classical **DRed** algorithm
   [Gupta et al. '93], which the paper identifies as the negative-tuple
   strategy for recursive views: on deletion, over-delete everything
@@ -56,7 +57,7 @@ from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.core import model
 from repro.core.algebra import join_phi, step_index
-from repro.dataflow.operators import PhysOp, SourceOp, prune_valid
+from repro.dataflow.operators import PhysOp, SourceOp
 from repro.dataflow.path_stage import PathOp
 from repro.dataflow.sym_join import MultiJoinOp
 
@@ -101,23 +102,26 @@ def _consolidate(df: DataFrame) -> DataFrame:
 class DDSourceOp(SourceOp):
     """Windowed source: the direct WSCAN's +1 for arriving sges, plus −1
     *negative tuples* for sges expiring from the time-based sliding window
-    (the WSCAN extension the paper describes for the DD baseline)."""
+    (the WSCAN extension the paper describes for the DD baseline). The
+    window is held on the driver as ``rows``, ``(src, trg, label, ts,
+    exp)``; the arriving rows are a projection of a local relation, so
+    collecting them runs no Spark job."""
 
     def __init__(self, spark: SparkSession, label: str, size: int, slide: int):
         super().__init__(spark, label, size, slide)
-        self.window: DataFrame = model.empty_sgt(spark)
+        self.rows: List[tuple] = []
+
+    #: The window as an sgt DataFrame, built on access.
+    window = property(lambda self: model.sgt_df(self.spark, self.rows))
 
     def _on_slide(self, t_now: int) -> DataFrame:
-        arriving = super()._on_slide(t_now)
-        expiring = self.window.filter(F.col("exp") <= F.lit(t_now))
-        self.window = (
-            prune_valid(self.window, t_now)
-            .unionByName(arriving)
-            .coalesce(4)
-            .localCheckpoint(eager=True)
-        )
-        return arriving.select(*_KEY, F.lit(1).alias("w")).unionByName(
-            expiring.select(*_KEY, F.lit(-1).alias("w"))
+        arriving = super()._on_slide(t_now).select(*_KEY, "ts", "exp").collect()
+        expiring = [r for r in self.rows if r[4] <= t_now]
+        self.rows = [r for r in self.rows if r[4] > t_now] + arriving
+        return model.local_df(
+            self.spark,
+            [(*r[:3], 1) for r in arriving] + [(*r[:3], -1) for r in expiring],
+            DD_SCHEMA,
         )
 
 
@@ -125,33 +129,33 @@ class DDDistinctOp(PhysOp):
     """DD's ``distinct``: maintains multiplicities and emits set-level
     changes (+1 on 0→>0, −1 on >0→0).
 
-    A slide is one ``groupBy`` over the old counts, tagged with their
-    weight as ``_old``, and the delta; it yields each touched key's old and
-    new multiplicity together and is checkpointed once. The set-level
-    changes and the new counts are filters over that checkpoint."""
+    A slide collects the child's weighted rows and folds them into the
+    driver-held ``multiset`` with ``fold_counts``, the rule DRed's window
+    fold uses; the changes are a local relation, and ``n_changes`` is
+    their number."""
 
     def __init__(self, spark: SparkSession, child: PhysOp):
         super().__init__(spark)
         self.child = child
-        self.counts: DataFrame = _empty_dd(spark)  # w = multiplicity > 0
+        self.multiset: Counter = Counter()
+        self.n_changes = 0
+
+    #: The multiplicities (> 0) as a DataFrame, built on access.
+    counts = property(
+        lambda self: model.local_df(
+            self.spark, [(*k, n) for k, n in self.multiset.items()], DD_SCHEMA
+        )
+    )
 
     def _on_slide(self, t_now: int) -> DataFrame:
-        delta = self.child.process(t_now)
-        merged = (
-            self.counts.withColumn("_old", F.col("w"))
-            .unionByName(delta.withColumn("_old", F.lit(0).cast("long")))
-            .groupBy(*_KEY)
-            .agg(F.sum("w").alias("w"), F.sum("_old").alias("_old"))
-            .localCheckpoint(eager=True)
-        )
-        now = F.col("w") > 0
-        self.counts = merged.filter(now).select(*_KEY, "w")
-        return merged.filter((F.col("_old") > 0) != now).select(
-            *_KEY, F.when(now, F.lit(1)).otherwise(F.lit(-1)).alias("w")
-        )
+        rows = self.child.process(t_now).select(*_KEY, "w").collect()
+        self.multiset, adds, dels = fold_counts(self.multiset, rows)
+        changes = [(*k, 1) for k in adds] + [(*k, -1) for k in dels]
+        self.n_changes = len(changes)
+        return model.local_df(self.spark, changes, DD_SCHEMA)
 
     def current_keys(self) -> DataFrame:
-        return self.counts.select(*_KEY)
+        return model.local_df(self.spark, list(self.multiset), _EDGES)
 
 
 class DDJoinOp(MultiJoinOp):
@@ -262,10 +266,11 @@ def _dred_group(x, rows, start, finals, **steps):
 
 
 def fold_counts(counts: Counter, rows) -> Tuple[Counter, Set, Set]:
-    """DRed's window fold: ``counts`` holds each key ``(src, trg, label)``
-    of the window with its count of derivations (> 0), and ``rows`` are a
-    slide's weighted deltas ``(src, trg, label, w)``, a bag. Returns the
-    new counts, the keys added (count 0 → > 0) and those deleted (> 0 → 0)."""
+    """DD's set-level change rule, the fold of ``DDDistinctOp`` and of
+    DRed's window: ``counts`` holds each key ``(src, trg, label)`` with its
+    count of derivations (> 0), and ``rows`` are a slide's weighted deltas
+    ``(src, trg, label, w)``, a bag. Returns the new counts, the keys added
+    (count 0 → > 0) and those deleted (> 0 → 0)."""
     delta = Counter()
     for *key, w in rows:
         delta[tuple(key)] += w

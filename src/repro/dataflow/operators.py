@@ -8,7 +8,9 @@ by this window movement — from the root.
 In the direct approach nothing is ever retracted: every emitted sgt
 carries its own validity interval, and expirations are located directly
 by comparing ``exp`` with the current time (no negative tuples). This is
-the property the paper exploits for append-only streaming graphs.
+the property the paper exploits for append-only streaming graphs. The
+sink (``ResultState``) collects each slide's delta and keeps the result
+on the driver, where it is read.
 """
 from __future__ import annotations
 
@@ -100,31 +102,24 @@ class UnionOp(PhysOp):
 
 
 class ResultState:
-    """Accumulated query output (the sink): pruned by validity, queryable as
-    the current result set — what the user of a persistent query observes."""
+    """Accumulated query output (the sink): the result sgts, held on the
+    driver as ``rows`` and pruned by validity, queryable as the current
+    result set — what the user of a persistent query observes."""
 
     def __init__(self, spark: SparkSession):
         self.spark = spark
-        self.df = model.empty_sgt(spark)
+        self.rows: List[tuple] = []
+
+    #: The result as an sgt DataFrame, built on access.
+    df = property(lambda self: model.local_df(self.spark, self.rows, model.SGT_SCHEMA))
 
     def update(self, delta: DataFrame, t_now: int) -> int:
         """Add this slide's delta, drop what expired, and return the
-        number of delta rows: one checkpoint, the delta's rows tagged,
-        and one count of the tagged rows."""
-        # coalesce: unions of checkpointed states accumulate partitions
-        # slide over slide; merging them keeps task-scheduling overhead flat.
-        df = (
-            prune_valid(self.df, t_now)
-            .withColumn("_new", F.lit(False))
-            .unionByName(delta.withColumn("_new", F.lit(True)))
-            .coalesce(4)
-            .localCheckpoint(eager=True)
-        )
-        self.df = df.drop("_new")
-        return df.filter("_new").count()
+        number of delta rows: one collect."""
+        new = delta.select(*model.SGT_COLS).collect()
+        self.rows = [r for r in self.rows if r.exp > t_now] + new
+        return len(new)
 
     def current_pairs(self, t_now: int) -> List[tuple]:
-        return [
-            (r.src, r.trg)
-            for r in model.snapshot_pairs(self.df, t_now).collect()
-        ]
+        """The distinct ``(src, trg)`` of the sgts valid at ``t_now``."""
+        return list({(r.src, r.trg) for r in self.rows if r.ts <= t_now < r.exp})

@@ -77,11 +77,6 @@ def test_snapshot_set_semantics(spark_small):
     assert len(snap) == 1 and (snap[0].src, snap[0].trg) == (1, 2)
 
 
-def test_snapshot_pairs(spark_small):
-    sgts = model.sgt_df(spark_small, [(1, 2, "a", 0, 10), (1, 2, "b", 0, 10)])
-    assert model.snapshot_pairs(sgts, 5).count() == 1
-
-
 def test_interval_boundaries_half_open(spark_small):
     sgts = model.sgt_df(spark_small, [(1, 2, "a", 5, 10)])
     assert model.snapshot(sgts, 4).count() == 0  # before ts

@@ -1,8 +1,13 @@
 """Unit tests for individual physical operators (both approaches)."""
+import importlib.util
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.core import model
 from repro.core.algebra import Filter, Union, Wscan
@@ -30,6 +35,7 @@ from repro.dataflow.path_stage import PathOp
 from repro.dataflow.spath import SPathOp
 from repro.dataflow.sym_join import MultiJoinOp
 from repro.queries.workload import DATASETS, QUERIES, get_query
+from repro.streams import random_stream
 from tests.util import check_result_set
 
 
@@ -177,6 +183,67 @@ def test_dd_distinct_matches_reference(spark_small, slides):
         assert {tuple(r) for r in op.current_keys().collect()} == keys, t
 
 
+def _jobs_of(spark, fn) -> int:
+    """The number of Spark jobs ``fn()`` runs, read from its own job group."""
+    sc = spark.sparkContext
+    group = f"jobs-of-{time.monotonic_ns()}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # the status store is fed asynchronously by the listener bus
+    sc._jsc.sc().listenerBus().waitUntilEmpty(30000)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _source_fold(spark):
+    op = DDSourceOp(spark, "a", size=4, slide=2)
+    slides = {1: batch([(1, 2, "a", 0)]), 5: batch([(3, 4, "a", 4)])}
+
+    def run():
+        for t, rows in slides.items():
+            op.pending = rows
+            op.process(t)
+
+    return run, lambda: {tuple(r) for r in op.process(5).collect()}
+
+
+def _distinct_fold(spark):
+    feed = Feed({t: model.local_df(spark, rows, DD_SCHEMA) for t, rows in
+                 enumerate([[(1, 2, "a", 1)], [(1, 2, "a", -1), (3, 4, "a", 1)]])})
+    op = DDDistinctOp(spark, feed)
+    return (lambda: [op.process(t) for t in (0, 1)],
+            lambda: {tuple(r) for r in op.process(1).collect()})
+
+
+def _sink_fold(spark):
+    rs = ResultState(spark)
+    deltas = {0: model.sgt_df(spark, [(1, 2, "a", 0, 5)]),
+              6: model.sgt_df(spark, [(3, 4, "a", 4, 9)])}
+    return (lambda: [rs.update(d, t) for t, d in deltas.items()],
+            lambda: {tuple(r[:5]) for r in rs.df.collect()})
+
+
+@pytest.mark.parametrize(
+    "make, last",
+    [
+        (_source_fold, {(1, 2, "a", -1), (3, 4, "a", 1)}),
+        (_distinct_fold, {(1, 2, "a", -1), (3, 4, "a", 1)}),
+        (_sink_fold, {(3, 4, "a", 4, 9)}),
+    ],
+    ids=["source", "distinct", "sink"],
+)
+def test_driver_folds_run_no_spark_job(spark_small, make, last):
+    """Fed local relations, DD's source window, DD's distinct and the SGA
+    sink fold on the driver: two slides, in the second of which (1, 2)
+    expires or is retracted, run no Spark job. ``last`` is the second
+    slide's output; for the sink, the sgts it holds after it."""
+    run, after = make(spark_small)
+    assert _jobs_of(spark_small, run) == 0
+    assert after() == last
+
+
 @DISTINCT_CASES
 def test_dd_window_fold_matches_reference(slides):
     """DRed's window fold, without Spark: its adds and deletes and its keys
@@ -241,6 +308,55 @@ def test_dd_distinct_only_at_path_input_and_sink(spark_small, dataset, query):
     assert engine.result_counts.child is engine.root
     for path in (SPathOp, DDPathOp):
         assert issubclass(path, PathOp) and "_on_slide" not in vars(path)
+
+
+def _bench_state() -> dict:
+    """``STATE`` of ``slidebench/run.py``: per operator class, the
+    attributes whose row counts the traced benchmark reports as state."""
+    bench = Path(__file__).resolve().parent.parent / "slidebench"
+    sys.path.insert(0, str(bench))  # run.py imports its sibling modules
+    try:
+        spec = importlib.util.spec_from_file_location("slidebench_run", bench / "run.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(bench))
+    return mod.STATE
+
+
+#: Where the driver holds what a ``STATE`` attribute shows, by attribute;
+#: the others (the join's states, PATH's per-root state) are Spark's.
+DRIVER_HELD = {"edges": "window", "window": "rows", "counts": "multiset", "df": "rows"}
+
+
+@pytest.mark.parametrize("mode", ["sga", "dd"])
+def test_bench_state_attributes_are_dataframes(spark_small, mode):
+    """On Q8, every attribute the benchmark's ``STATE`` names, on each
+    operator reachable from the root and on the sink, is a DataFrame (or
+    a list of them) whose row count is the size the driver holds."""
+    state = _bench_state()
+    plan = get_query("Q8", "so").plan(6, 3)
+    stream = random_stream(n_edges=30, n_vertices=6, labels=("a2q",), t_span=12, seed=4)
+    held = Counter()
+
+    def on_slide(eng, t_now):
+        sink = eng.result if mode == "sga" else eng.result_counts
+        ops = {id(op): op for op in _operators(eng.root) + [sink]}.values()
+        for op in ops:
+            for attr in state.get(type(op).__name__, ()):
+                value = getattr(op, attr)
+                frames = value if isinstance(value, list) else [value]
+                assert all(isinstance(df, DataFrame) for df in frames), (op, attr)
+                rows = sum(df.count() for df in frames)
+                if attr in DRIVER_HELD:
+                    assert rows == len(getattr(op, DRIVER_HELD[attr])), (op, attr, t_now)
+                    held[type(op).__name__, attr] += rows
+
+    MicroBatchEngine(spark_small, plan, mode=mode).run(stream, on_slide=on_slide)
+    expected = {"sga": {("SPathOp", "edges"), ("ResultState", "df")},
+                "dd": {("DDSourceOp", "window"), ("DDDistinctOp", "counts"),
+                       ("DDPathOp", "edges")}}[mode]
+    assert set(held) == expected and all(held.values()), held
 
 
 def test_consolidate_drops_zero_weights(spark_small):
